@@ -8,8 +8,11 @@ exit code for the CLI.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -192,6 +195,9 @@ def _validate(cfg):
         raise MalformedConfigError(
             f"unknown experiment '{cfg.experiment}'; choose one of {', '.join(EXPERIMENTS)}"
         )
+    if not 0 <= cfg.seed < 2**64:
+        # the seed keys a uint64 hash; anything else fails only mid-run
+        raise MalformedConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
     if cfg.experiment != "constants-check" and cfg.particles <= 0:
         raise MalformedConfigError(f"particles must be positive, got {cfg.particles}")
     if cfg.threads < 1:
@@ -283,15 +289,25 @@ def format_csv_value(value):
 
 
 def emit_csv(rows, path, header):
-    """Write rows (sequences matching header) deterministically."""
+    """Write rows (sequences matching header) deterministically and
+    atomically: the file at `path` is either the old one or the whole new
+    one."""
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
         lines.append(",".join(format_csv_value(v) for v in row))
     text = "\n".join(lines) + "\n"
+    # write a sibling file and rename it over the target, so a failed write
+    # leaves the target as it was: absent, or the previous complete CSV
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise UnwritablePathError(f"cannot write output {path}: {exc}") from exc

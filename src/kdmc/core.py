@@ -91,12 +91,38 @@ def stream_keys(seed, stream):
     return _stream_key(seed, stream)
 
 
+def _hash_keyed(keys, counter):
+    """raw64_keyed(keys, counter) and a spare buffer of the same size.
+
+    The hash runs in place in two fresh uint64 buffers, so neither argument
+    is written; the keyed draws finish their float work in the spare one.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    counter = np.asarray(counter, dtype=np.uint64)
+    # 1-d buffers even for scalar input: 0-d uint64 arithmetic warns on the
+    # intended modular overflow
+    z = np.empty(np.broadcast_shapes(keys.shape, counter.shape) or (1,), dtype=np.uint64)
+    np.add(counter, np.uint64(1), out=z)
+    z *= _PHI
+    z += keys
+    t = np.right_shift(z, _S30)
+    t ^= z
+    t *= _M1
+    np.right_shift(t, _S27, out=z)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, _S31, out=t)
+    t ^= z
+    return t, z
+
+
+def _scalar_if(out, keys, counter):
+    return out[0] if np.ndim(keys) == 0 and np.ndim(counter) == 0 else out
+
+
 def raw64_keyed(keys, counter):
     """raw64 with the stream key already hashed; bit-identical to raw64."""
-    counter = np.asarray(counter, dtype=np.uint64)
-    if counter.ndim == 0 and np.ndim(keys) == 0:
-        return _mix64(np.asarray(keys, dtype=np.uint64).reshape(1) + (counter + np.uint64(1)) * _PHI)[0]
-    return _mix64(keys + (counter + np.uint64(1)) * _PHI)
+    return _scalar_if(_hash_keyed(keys, counter)[0], keys, counter)
 
 
 def _u_oc(bits):
@@ -132,12 +158,28 @@ def exponential_from_counter(seed, stream, counter):
     return -np.log(uniform_open_closed(seed, stream, counter))
 
 
+def _keyed_uniform(keys, counter, offset):
+    # ((bits >> 11) + offset) * 2**-53, written into the spare buffer
+    bits, spare = _hash_keyed(keys, counter)
+    bits >>= _S11
+    u = spare.view(np.float64)
+    np.add(bits, offset, out=u)
+    u *= _INV53
+    return u
+
+
 def normal_keyed(keys, counter):
-    return ndtri(_u_oo(raw64_keyed(keys, counter)))
+    """normal_from_counter with the stream key already hashed; bit-identical."""
+    u = _keyed_uniform(keys, counter, 0.5)
+    return _scalar_if(ndtri(u, out=u), keys, counter)
 
 
 def exponential_keyed(keys, counter):
-    return -np.log(_u_oc(raw64_keyed(keys, counter)))
+    """exponential_from_counter with the stream key already hashed;
+    bit-identical."""
+    u = _keyed_uniform(keys, counter, 1.0)
+    np.log(u, out=u)
+    return _scalar_if(np.negative(u, out=u), keys, counter)
 
 
 @dataclass
@@ -268,6 +310,19 @@ def sample_maxwellian(params, rng):
 def standard_exponential(rng):
     """Draw a unit-exponential flight budget; strictly finite."""
     return exponential_from_uniform(rng.uniform_open_closed())
+
+
+def finish_slots(done, idx):
+    """Where the particles flagged in `done` sit in a lockstep loop's live
+    arrays and in its chunk outputs.
+
+    `idx` maps live positions to output slots; None stands for the identity,
+    before any particle has left. Slices replace index arrays where they
+    can, so a round in which every live particle finishes copies instead of
+    gathering and scattering.
+    """
+    fin = slice(None) if done.all() else np.flatnonzero(done)
+    return fin, fin if idx is None else idx[fin]
 
 
 def map_chunked(fn, n, threads=1, chunk=1 << 16):

@@ -7,6 +7,15 @@ are the exact kinetic moments conditioned on the freshly sampled velocity;
 that velocity then seeds the next step, carrying the inter-step
 correlation. A flight spanning several steps is executed as one kinetic
 move and the clock jumps to the end of the step containing the collision.
+
+`kd_ensemble` runs the same scheme on a population in lockstep rounds. Each
+round draws one flight per live particle at its next counter. A particle
+whose flight outlasts its remaining steps finishes with it; the others
+collide, take the Gaussian substep, and finish as well if that was their
+last step. The live arrays, together with each particle's kinetic and
+diffusive time sums, are gathered down only in rounds where some particle
+finishes, and a particle's outputs are written once, when it finishes: its
+collision count is the number of rounds in which it collided.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ import numpy as np
 from .core import (
     ParticleState,
     exponential_keyed,
+    finish_slots,
     map_chunked,
-    normal_from_counter,
+    normal_from_counter,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.normal_from_counter
     normal_keyed,
     sample_maxwellian,
     standard_exponential,
@@ -149,72 +159,120 @@ class KdEnsemble:
         return int(self.collisions.sum())
 
 
+def _collision_remainder(dtau, dt, left):
+    """Remainder theta of the step in which each flight dtau ends; `left`,
+    the steps not yet started, drops in place by the steps the flight took.
+
+    Same arithmetic as `simulate_kd`. dtau // dt is exactly 0 below dt, so
+    only the longer flights are divided.
+    """
+    theta = dt - dtau
+    left -= 1
+    far = np.flatnonzero(dtau >= dt)
+    if far.size:
+        dtau_far = dtau[far]
+        j = np.minimum((dtau_far // dt).astype(np.int64), left[far])
+        theta[far] = dt - (dtau_far - j * dt)
+        left[far] -= j
+    # rounding at the grid edge can leave theta a few ulp outside [0, dt]
+    np.maximum(theta, 0.0, out=theta)
+    return np.minimum(theta, dt, out=theta)
+
+
 def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
     n = x0.shape[0]
     rate_scale = params.eps * params.eps / params.sigma
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
 
+    # live particles only; gathered down in rounds where some finish
     x = x0.copy()
     v = v0.copy()
-    step = np.zeros(n, dtype=np.int64)
+    left = np.full(n, n_steps, dtype=np.int64)  # steps not yet started
     ctr = ctr0.copy()
     keys = stream_keys(seed, streams)
-    idx = np.arange(n)
+    idx = None  # output slot of each live particle; None while all are live
+    kin = diff = None
 
+    # the initial values are the results of a particle without collisions
     out_x = np.empty(n)
     out_v = np.empty(n)
     out_coll = np.zeros(n, dtype=np.int64)
     out_diff = np.zeros(n)
-    out_kin = np.zeros(n)
+    out_kin = np.full(n, n_steps * dt)
 
     t_loop = time.perf_counter()
-    while x.size:
-        rem = (n_steps - step) * dt
-        e = exponential_keyed(keys, ctr)
+    rnd = 0
+    while True:
+        rem = left * dt
+        dtau = exponential_keyed(keys, ctr)
+        dtau *= rate_scale
         ctr += np.uint64(1)
-        dtau = e * rate_scale
         done = dtau >= rem
-        if np.any(done):
-            d = idx[done]
-            out_x[d] = x[done] + (v[done] / params.eps) * rem[done]
-            out_v[d] = v[done]
-            out_kin[d] += rem[done]
-        live = ~done
-        if not np.any(live):
-            break
-        idx = idx[live]
-        keys = keys[live]
-        dtau = dtau[live]
-        x = x[live] + (v[live] / params.eps) * dtau
-        ctr = ctr[live]
-        step = step[live]
-        out_kin[idx] += dtau
-        j = np.minimum((dtau // dt).astype(np.int64), n_steps - step - 1)
-        theta = np.minimum(np.maximum(dt - (dtau - j * dt), 0.0), dt)
-        v = vel_mean + vel_sd * normal_keyed(keys, ctr)
+        if done.any():
+            fin, d = finish_slots(done, idx)
+            vf = v[fin]
+            out_x[d] = x[fin] + (vf / params.eps) * rem[fin]
+            out_v[d] = vf
+            if rnd:
+                out_coll[d] = rnd
+                out_diff[d] = diff[fin]
+                out_kin[d] = kin[fin] + rem[fin]
+            live = ~done
+            if not live.any():
+                break
+            idx = np.flatnonzero(live) if idx is None else idx[live]
+            keys = keys[live]
+            x = x[live]
+            v = v[live]
+            left = left[live]
+            ctr = ctr[live]
+            dtau = dtau[live]
+            if rnd:
+                kin = kin[live]
+                diff = diff[live]
+        x += (v / params.eps) * dtau
+        theta = _collision_remainder(dtau, dt, left)
+        v = normal_keyed(keys, ctr)
+        v *= vel_sd
+        v += vel_mean
         ctr += np.uint64(1)
         z = normal_keyed(keys, ctr)
         ctr += np.uint64(1)
         mean, var = conditioned_mean_var(params, theta, v)
-        x = x + (mean + np.sqrt(var) * z)
-        out_diff[idx] += theta
-        out_coll[idx] += 1
-        step = step + j + 1
+        np.sqrt(var, out=var)
+        var *= z
+        var += mean
+        x += var
+        if rnd:
+            kin += dtau
+            diff += theta
+        else:
+            # the scalar stepper's sums start from 0.0
+            kin = 0.0 + dtau
+            diff = 0.0 + theta
+        rnd += 1
         # particles whose collision step was the last one are finished now;
         # the scalar loop draws nothing further for them either
-        at_end = step >= n_steps
-        if np.any(at_end):
-            d = idx[at_end]
-            out_x[d] = x[at_end]
-            out_v[d] = v[at_end]
-            going = ~at_end
-            idx = idx[going]
-            keys = keys[going]
-            x = x[going]
-            v = v[going]
-            ctr = ctr[going]
-            step = step[going]
+        at_end = left == 0
+        if at_end.any():
+            fin, d = finish_slots(at_end, idx)
+            out_x[d] = x[fin]
+            out_v[d] = v[fin]
+            out_coll[d] = rnd
+            out_diff[d] = diff[fin]
+            out_kin[d] = kin[fin]
+            live = ~at_end
+            if not live.any():
+                break
+            idx = np.flatnonzero(live) if idx is None else idx[live]
+            keys = keys[live]
+            x = x[live]
+            v = v[live]
+            left = left[live]
+            ctr = ctr[live]
+            kin = kin[live]
+            diff = diff[live]
     elapsed = time.perf_counter() - t_loop
     return out_x, out_v, out_coll, out_diff, out_kin, np.array([elapsed])
 
@@ -293,9 +351,12 @@ def random_walk_ensemble(
     def run(lo, hi):
         x = x0[lo:hi].copy()
         ctr = ctr0[lo:hi].copy()
-        streams = streams_all[lo:hi]
+        keys = stream_keys(seed, streams_all[lo:hi])
         for _ in range(int(n_steps)):
-            x = x + drift + scale * normal_from_counter(seed, streams, ctr)
+            z = normal_keyed(keys, ctr)
+            z *= scale
+            x += drift
+            x += z
             ctr += np.uint64(1)
         return (x,)
 

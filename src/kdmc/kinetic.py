@@ -4,6 +4,15 @@ The scalar stepper is the readable reference; `kinetic_ensemble` advances
 whole particle populations in lockstep with the same per-particle draw
 sequence (stream = particle id, one counter per draw) so results are
 reproducible at any thread count.
+
+The lockstep loop runs in rounds. In round r every live particle draws its
+flight; a particle whose flight outlasts its remaining time finishes, with
+r collisions, and the others collide and draw a new velocity. The live
+arrays, and each particle's first and last flight overlaps with them, are
+gathered down only in rounds where some particle finishes, and a
+particle's outputs are written once, when it finishes. A particle that
+finishes in round 0 keeps the initial output values that are already
+right for it.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from .core import (
     BackgroundParams,
     ParticleState,
     exponential_keyed,
+    finish_slots,
     map_chunked,
     normal_keyed,
     sample_maxwellian,
@@ -156,45 +166,59 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0):
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
 
+    # live particles only; gathered down in rounds where some finish
     x = x0.copy()
     v = v0.copy()
     rem = np.full(n, float(duration))
     ctr = ctr0.copy()
     keys = stream_keys(seed, streams)
-    idx = np.arange(n)
+    idx = None  # output slot of each live particle; None while all are live
+    first = None
 
+    # the initial values are the results of a particle without collisions
     out_x = np.empty(n)
     out_v = np.empty(n)
     out_coll = np.zeros(n, dtype=np.int64)
     out_first = np.full(n, float(duration))
     out_last = np.full(n, float(duration))
-    first_round = True
 
     t_loop = time.perf_counter()
-    while x.size:
-        e = exponential_keyed(keys, ctr)
+    rnd = 0
+    while True:
+        dtau = exponential_keyed(keys, ctr)
+        dtau *= rate_scale
         ctr += np.uint64(1)
-        dtau = e * rate_scale
         done = dtau >= rem
-        if np.any(done):
-            d = idx[done]
-            out_x[d] = x[done] + (v[done] / params.eps) * rem[done]
-            out_v[d] = v[done]
-        live = ~done
-        if first_round:
-            out_first[idx[live]] = dtau[live]
-            first_round = False
-        if not np.any(live):
-            break
-        idx = idx[live]
-        keys = keys[live]
-        x = x[live] + (v[live] / params.eps) * dtau[live]
-        rem = rem[live] - dtau[live]
-        ctr = ctr[live]
-        v = vel_mean + vel_sd * normal_keyed(keys, ctr)
+        if done.any():
+            fin, d = finish_slots(done, idx)
+            vf = v[fin]
+            out_x[d] = x[fin] + (vf / params.eps) * rem[fin]
+            out_v[d] = vf
+            if rnd:
+                out_coll[d] = rnd
+                out_first[d] = first[fin]
+                out_last[d] = rem[fin]
+            live = ~done
+            if not live.any():
+                break
+            idx = np.flatnonzero(live) if idx is None else idx[live]
+            keys = keys[live]
+            x = x[live]
+            v = v[live]
+            rem = rem[live]
+            ctr = ctr[live]
+            dtau = dtau[live]
+            if rnd:
+                first = first[live]
+        if not rnd:
+            first = dtau
+        x += (v / params.eps) * dtau
+        rem -= dtau
+        v = normal_keyed(keys, ctr)
+        v *= vel_sd
+        v += vel_mean
         ctr += np.uint64(1)
-        out_coll[idx] += 1
-        out_last[idx] = rem
+        rnd += 1
     elapsed = time.perf_counter() - t_loop
     return out_x, out_v, out_coll, out_first, out_last, np.array([elapsed])
 

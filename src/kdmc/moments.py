@@ -143,15 +143,21 @@ def conditioned_mean_var(params, dt, v_final):
     root in the diffusive substep.
     """
     dt = np.asarray(dt, dtype=np.float64)
-    (_, k2, k3, k4), scalar = _kernel_table(params.collisionality(dt))
+    a = params.collisionality(dt)
+    large = a.ndim and a.size and float(a.min()) >= A_LARGE
+    if not large:
+        (_, k2, k3, k4), scalar = _kernel_table(a)
     drift = np.asarray(v_final, dtype=np.float64) / params.eps - params.u
     rate_scale = params.eps**2 / params.sigma
+    diffusive = 2.0 * params.temperature * (params.eps / params.sigma) ** 2
+    if large:
+        # the kernels are k2 = k3 = 1 and k4 = a - 2 here, and multiplying
+        # by 1.0 is exact, so this equals the kernel-table branch bit for bit
+        mean = params.u * dt + drift * rate_scale
+        var = diffusive * (a - 2.0) + drift * drift * rate_scale * rate_scale
+        return mean, np.maximum(var, 0.0)
     mean = params.u * dt + drift * rate_scale * k2
-    var = np.maximum(
-        2.0 * params.temperature * (params.eps / params.sigma) ** 2 * k4
-        + drift * drift * rate_scale * rate_scale * k3,
-        0.0,
-    )
+    var = np.maximum(diffusive * k4 + drift * drift * rate_scale * rate_scale * k3, 0.0)
     if scalar and mean.ndim == 1 and mean.shape[0] == 1 and np.ndim(v_final) == 0:
         return float(mean[0]), float(var[0])
     return mean, var

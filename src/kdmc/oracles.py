@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import exponential_keyed, map_chunked, normal_keyed, stream_keys
+from .core import exponential_keyed, finish_slots, map_chunked, normal_keyed, stream_keys
 
 __all__ = ["OracleMoments", "conditioned_increment_ensemble", "oracle_conditioned_increment"]
 
@@ -37,32 +37,41 @@ def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0):
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
 
+    # live paths only; gathered down in rounds where some finish
     x = np.zeros(n)
     rem = durations.copy()
     vf = v_final
     ctr = ctr0.copy()
     keys = stream_keys(seed, streams)
-    idx = np.arange(n)
+    idx = None  # output slot of each live particle; None while all are live
     out = np.empty(n)
 
-    while x.size:
-        e = exponential_keyed(keys, ctr)
+    while True:
+        dtau = exponential_keyed(keys, ctr)
+        dtau *= rate_scale
         ctr += np.uint64(1)
-        dtau = e * rate_scale
         done = dtau >= rem
-        if np.any(done):
-            d = idx[done]
-            out[d] = x[done] + (vf[d] / params.eps) * rem[done]
-        live = ~done
-        if not np.any(live):
-            break
-        idx = idx[live]
-        keys = keys[live]
-        dtau = dtau[live]
-        w = vel_mean + vel_sd * normal_keyed(keys, ctr[live])
-        ctr = ctr[live] + np.uint64(1)
-        x = x[live] + (w / params.eps) * dtau
-        rem = rem[live] - dtau
+        if done.any():
+            fin, d = finish_slots(done, idx)
+            out[d] = x[fin] + (vf[fin] / params.eps) * rem[fin]
+            live = ~done
+            if not live.any():
+                break
+            idx = np.flatnonzero(live) if idx is None else idx[live]
+            keys = keys[live]
+            x = x[live]
+            vf = vf[live]
+            rem = rem[live]
+            ctr = ctr[live]
+            dtau = dtau[live]
+        w = normal_keyed(keys, ctr)
+        w *= vel_sd
+        w += vel_mean
+        ctr += np.uint64(1)
+        w /= params.eps
+        w *= dtau
+        x += w
+        rem -= dtau
     return (out,)
 
 

@@ -10,8 +10,12 @@ from kdmc import (
     standard_exponential,
 )
 from kdmc.core import (
+    exponential_from_counter,
     exponential_from_uniform,
+    exponential_keyed,
     map_chunked,
+    normal_from_counter,
+    normal_keyed,
     raw64,
     raw64_keyed,
     stream_keys,
@@ -116,6 +120,41 @@ class TestRngStream:
         base = RngStream(77)
         child = base.spawn(5)
         assert child.seed == 77 and child.stream == 5 and child.counter == 0
+
+
+class TestKeyedDraws:
+    def test_match_unkeyed_bitwise_and_leave_arguments_alone(self):
+        rng = np.random.default_rng(2024)
+        n = 100_000
+        streams = rng.integers(0, 2**63, n, dtype=np.uint64)
+        counters = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+        # both ends of the counter range, including the modular wrap
+        counters[:4] = [0, 1, 2**64 - 2, 2**64 - 1]
+        keys = stream_keys(77, streams)
+        keys_before, counters_before = keys.copy(), counters.copy()
+        for keyed, unkeyed in (
+            (exponential_keyed, exponential_from_counter),
+            (normal_keyed, normal_from_counter),
+        ):
+            got = keyed(keys, counters)
+            want = unkeyed(77, streams, counters)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(keys, keys_before)
+            assert np.array_equal(counters, counters_before)
+
+    def test_broadcast_and_scalar_forms(self):
+        streams = np.arange(50, dtype=np.uint64)
+        keys = stream_keys(5, streams)
+        ctr = np.uint64(2**64 - 1)
+        for keyed, unkeyed in (
+            (exponential_keyed, exponential_from_counter),
+            (normal_keyed, normal_from_counter),
+        ):
+            assert np.array_equal(keyed(keys, ctr), unkeyed(5, streams, ctr))
+            one = keyed(keys[7], np.uint64(3))
+            assert np.ndim(one) == 0
+            assert one == unkeyed(5, streams[7:8], np.uint64(3))[0]
 
 
 class TestSampling:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kdmc import BackgroundParams, oracle_conditioned_increment
+from kdmc import config as config_module
 from kdmc.config import (
     MalformedConfigError,
     MissingFieldError,
@@ -20,6 +21,7 @@ from kdmc.config import (
 )
 from kdmc.experiments import run_experiment
 from kdmc.moments import mean_conditioned, var_conditioned
+from kdmc.oracles import conditioned_increment_ensemble
 from kdmc import cli
 
 
@@ -66,6 +68,22 @@ class TestConfig:
         with pytest.raises(MalformedConfigError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed, tmp_path):
+        with pytest.raises(MalformedConfigError):
+            config_from_dict({"experiment": "histogram", "seed": seed})
+        out = tmp_path / "h.csv"
+        argv = ["histogram", "--seed", str(seed), "--particles", "100", "--out", str(out)]
+        assert cli.main(argv) == MalformedConfigError.exit_code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_bounds_accepted(self, seed, tmp_path):
+        cfg = small_config("histogram", tmp_path, seed=seed, particles=200)
+        assert cfg.seed == seed
+        run_experiment(cfg).write(cfg.out)
+        assert len(open(cfg.out).read().splitlines()) > 1
+
     def test_defaults_follow_experiment(self):
         low = config_from_dict({"experiment": "single-step-low", "seed": 2})
         assert low.u == 1.0 and low.particles == 200_000
@@ -105,6 +123,26 @@ class TestCsv:
         with pytest.raises(UnwritablePathError):
             emit_csv([(1.0,)], tmp_path / "nodir" / "out.csv", ("a",))
 
+    def test_failed_write_keeps_existing_output(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        emit_csv([(1.0,)], path, ("a",))
+        before = path.read_bytes()
+
+        def open_then_fail(file, mode="r", *args, **kwargs):
+            # a device that fills up after the first bytes of the write
+            fh = open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                fh.write("a\n2.")
+                fh.close()
+                raise OSError(28, "No space left on device")
+            return fh
+
+        monkeypatch.setattr(config_module, "open", open_then_fail, raising=False)
+        with pytest.raises(UnwritablePathError):
+            emit_csv([(2.0,)] * 10, path, ("a",))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     def test_format_values(self):
         assert format_csv_value(1.5) == "1.5"
         assert format_csv_value(True) == "true"
@@ -125,6 +163,21 @@ class TestOracle:
         res = oracle_conditioned_increment(p, 1.0, 1.0, 200_000, seed=7)
         assert abs(res.mean - mean_conditioned(p, 1.0, 1.0)) <= 4 * res.se_mean
         assert abs(res.variance - var_conditioned(p, 1.0, 1.0)) <= 4 * res.se_variance
+
+    def test_chunking_and_threads_bit_identical(self):
+        p = BackgroundParams(1.0, 0.3, 1.0, 0.5)
+        n = 3000
+        rng = np.random.default_rng(5)
+        durations = rng.uniform(0.0, 2.0, n)
+        durations[:20] = 0.0
+        v_final = rng.normal(size=n)
+        ctr0 = rng.integers(0, 2**62, n, dtype=np.uint64)
+        kwargs = dict(seed=4, stream_lo=11, ctr0=ctr0)
+        ref = conditioned_increment_ensemble(p, durations, v_final, **kwargs)
+        for threads in (1, 2):
+            got = conditioned_increment_ensemble(
+                p, durations, v_final, threads=threads, chunk=7, **kwargs)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_minimum_path_count(self):
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from kdmc import (
@@ -11,6 +13,7 @@ from kdmc import (
     diffusive_substep,
     mean_conditioned,
     simulate_kd,
+    simulate_kinetic,
     simulate_random_walk,
     var_conditioned,
     var_unconditioned,
@@ -135,6 +138,57 @@ class TestSimulateKd:
             assert rec.collisions_executed == ens.collisions[i]
             assert rec.diffusive_time == ens.diffusive_time[i]
             assert rec.kinetic_time == ens.kinetic_time[i]
+
+    @pytest.mark.parametrize("collisionality", [0.01, 1.0, 50.0, 100.0, 1000.0])
+    def test_scalar_matches_vectorized_across_kernel_branches(self, collisionality):
+        # per-step collisionality 0.01 puts most substeps below A_SMALL, 50
+        # mixes populations below and beyond A_LARGE, and 100 and above keep
+        # every substep beyond it
+        dt = 0.5
+        p = BackgroundParams(1.2, 0.3, 1.4, math.sqrt(1.2 * dt / collisionality))
+        n = 120
+        rng = np.random.default_rng(int(collisionality * 100))
+        x0 = rng.normal(size=n)
+        v0 = rng.normal(size=n)
+        ctr0 = rng.integers(0, 2**62, n, dtype=np.uint64)
+        ens = kd_ensemble(p, x0, v0, dt, 3, seed=31, stream_lo=9, ctr0=ctr0, chunk=50)
+        for i in range(n):
+            rng_i = RngStream(31, 9 + i, counter=int(ctr0[i]))
+            rec = simulate_kd(ParticleState(x0[i], v0[i], 0.0), dt, 3 * dt, p, rng_i)
+            assert rec.final_state.x == ens.x[i]
+            assert rec.final_state.v == ens.v[i]
+            assert rec.collisions_executed == ens.collisions[i]
+            assert rec.diffusive_time == ens.diffusive_time[i]
+            assert rec.kinetic_time == ens.kinetic_time[i]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.1, 10.0),
+        u=st.floats(-2.0, 2.0),
+        temperature=st.floats(0.1, 5.0),
+        eps=st.floats(0.05, 3.0),
+        dt=st.floats(0.01, 2.0),
+        n_steps=st.integers(1, 4),
+    )
+    def test_scalar_matches_vectorized_property(self, sigma, u, temperature, eps, dt, n_steps):
+        p = BackgroundParams(sigma, u, temperature, eps)
+        n = 6
+        x0 = np.linspace(-1.0, 1.0, n)
+        v0 = np.linspace(-2.0, 2.0, n)
+        if p.collisionality(dt) * n_steps > 2000:  # keeps the scalar loop short
+            dt = 2000 / n_steps * eps * eps / sigma
+        kd = kd_ensemble(p, x0, v0, dt, n_steps, seed=3)
+        kin = kinetic_ensemble(p, x0, v0, dt * n_steps, seed=3)
+        for i in range(n):
+            state = ParticleState(x0[i], v0[i], 0.0)
+            rec = simulate_kd(state, dt, n_steps * dt, p, RngStream(3, i))
+            assert (rec.final_state.x, rec.final_state.v) == (kd.x[i], kd.v[i])
+            assert rec.collisions_executed == kd.collisions[i]
+            assert (rec.diffusive_time, rec.kinetic_time) == (
+                kd.diffusive_time[i], kd.kinetic_time[i])
+            ref = simulate_kinetic(state, dt * n_steps, p, RngStream(3, i))
+            assert (ref.final_state.x, ref.final_state.v) == (kin.x[i], kin.v[i])
+            assert ref.collisions_executed == kin.collisions[i]
 
     def test_thread_determinism(self):
         n = 20_000

@@ -208,6 +208,29 @@ class TestEnsembleDeterminism:
             assert rec.final_state.v == ens.v[i]
             assert rec.collisions_executed == ens.collisions[i]
 
+    def test_matches_segment_recording_stepper(self):
+        # per-particle start counters, and a population that mixes paths
+        # finishing in round 0 with paths of many collisions
+        p = BackgroundParams(1.5, 0.4, 1.5, 0.7)  # collisionality about 3
+        n = 600
+        rng = np.random.default_rng(21)
+        x0 = rng.normal(size=n)
+        v0 = rng.normal(size=n)
+        ctr0 = rng.integers(0, 2**62, n, dtype=np.uint64)
+        ens = kinetic_ensemble(p, x0, v0, 1.0, seed=17, stream_lo=40, ctr0=ctr0, chunk=256)
+        assert (ens.collisions == 0).sum() >= 10
+        assert ens.collisions.max() >= 9
+        for i in range(n):
+            rng_i = RngStream(17, 40 + i, counter=int(ctr0[i]))
+            rec = simulate_kinetic(
+                ParticleState(x0[i], v0[i], 0.0), 1.0, p, rng_i, record_segments=True
+            )
+            assert rec.final_state.x == ens.x[i]
+            assert rec.final_state.v == ens.v[i]
+            assert rec.collisions_executed == ens.collisions[i]
+            assert rec.flight_segments[0][0] == ens.first_overlap[i]
+            assert rec.flight_segments[-1][0] == ens.last_overlap[i]
+
     def test_rerun_and_threads_bit_identical(self):
         p = BackgroundParams(1.0, 0.0, 1.0, 0.5)
         n = 30_000

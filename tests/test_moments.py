@@ -245,6 +245,23 @@ class TestKernels:
         assert np.array_equal(k3, 1.0 - 2.0 * a * ea - ea * ea)
         assert np.array_equal(k4, 2.0 * ea + a + a * ea - 2.0)
 
+    def test_large_a_fast_path_matches_kernel_table(self, monkeypatch):
+        p = BackgroundParams(1.3, 0.4, 2.0, 0.2)
+        a = np.concatenate([[A_LARGE], np.linspace(A_LARGE, 900.0, 4001)])
+        dt = a * p.eps**2 / p.sigma
+        dt = dt[p.collisionality(dt) >= A_LARGE]
+        v = np.random.default_rng(3).normal(size=dt.size) * 3.0
+        # one small-a element sends the same population through the table
+        mean_ref, var_ref = conditioned_mean_var(p, np.append(dt, 1e-6), np.append(v, 0.5))
+
+        def no_table(a):
+            raise AssertionError("kernel table evaluated beyond A_LARGE")
+
+        monkeypatch.setattr("kdmc.moments._kernel_table", no_table)
+        mean, var = conditioned_mean_var(p, dt, v)
+        assert np.array_equal(mean, mean_ref[:-1])
+        assert np.array_equal(var, var_ref[:-1])
+
     def test_all_kernels_finite_nonnegative(self):
         a = np.array([0.0, 1e-8, 1e-4, 1e-3, 1.0, 10.0, 1e3])
         (k1, k2, k3, k4), _ = _kernel_table(a)
