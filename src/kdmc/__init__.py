@@ -6,7 +6,7 @@ random walk, closed-form moments of the positional increments, error-bound
 evaluators, Wasserstein-1 validation metrics, and an experiment harness.
 """
 
-from .config import ExperimentConfig, config_from_dict, emit_csv, parse_config
+from .config import ExperimentConfig, config_from_dict, emit_csv
 from .core import (
     BackgroundParams,
     ParticleState,
@@ -25,9 +25,8 @@ from .kd import (
     simulate_random_walk,
 )
 from .kinetic import KineticStepRecord, kinetic_ensemble, sample_collision_time, simulate_kinetic
-from .metrics import EnsembleSummary, HistogramSpec, W1Result, fit_order, summarize, w1_empirical
+from .metrics import HistogramSpec, fit_order, w1_sorted
 from .moments import (
-    StepMoments,
     bound_high_collisional,
     bound_low_collisional,
     bound_low_conditioned,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackgroundParams",
-    "EnsembleSummary",
     "ExperimentConfig",
     "HistogramSpec",
     "KdStepRecord",
@@ -53,8 +51,6 @@ __all__ = [
     "ParticleState",
     "PiecewiseConstantField",
     "RngStream",
-    "StepMoments",
-    "W1Result",
     "bound_high_collisional",
     "bound_low_collisional",
     "bound_low_conditioned",
@@ -70,7 +66,6 @@ __all__ = [
     "mean_conditioned",
     "mean_unconditioned",
     "oracle_conditioned_increment",
-    "parse_config",
     "random_walk_ensemble",
     "run_experiment",
     "sample_collision_time",
@@ -79,9 +74,8 @@ __all__ = [
     "simulate_kinetic",
     "simulate_random_walk",
     "standard_exponential",
-    "summarize",
     "var_conditioned",
     "var_unconditioned",
     "verify_paper_constants",
-    "w1_empirical",
+    "w1_sorted",
 ]

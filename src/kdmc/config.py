@@ -27,7 +27,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "config_from_dict",
-    "parse_config",
     "format_csv_value",
     "emit_csv",
 ]
@@ -257,20 +256,6 @@ def config_from_dict(doc):
     elif experiment == "speedup":
         values.setdefault("collisionality_grid", tuple(_SPEEDUP_GRID))
     return _validate(ExperimentConfig(**values))
-
-
-def parse_config(path):
-    """Load and validate a JSON config file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MalformedConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
 
 
 def format_csv_value(value):

@@ -8,6 +8,7 @@ Maxwellian with mean eps * u and variance T.
 from __future__ import annotations
 
 import bisect
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,9 @@ __all__ = [
     "exponential_from_uniform",
     "sample_maxwellian",
     "standard_exponential",
+    "stream_inputs",
+    "whole_steps",
+    "lockstep",
     "map_chunked",
 ]
 
@@ -197,13 +201,12 @@ class RngStream:
     counter: int = 0
 
     def _next_counters(self, size):
+        # the counter wraps modulo 2**64, as the keyed draws' uint64 counters do
+        c = self.counter
+        self.counter = (c + (1 if size is None else size)) % 2**64
         if size is None:
-            c = self.counter
-            self.counter += 1
             return c
-        c = np.arange(self.counter, self.counter + size, dtype=np.uint64)
-        self.counter += size
-        return c
+        return np.arange(size, dtype=np.uint64) + np.uint64(c)
 
     def uniform_open_closed(self, size=None):
         return uniform_open_closed(self.seed, self.stream, self._next_counters(size))
@@ -216,10 +219,6 @@ class RngStream:
 
     def exponential(self, size=None):
         return exponential_from_counter(self.seed, self.stream, self._next_counters(size))
-
-    def spawn(self, stream):
-        """Fresh stream for another particle under the same seed."""
-        return RngStream(self.seed, stream)
 
 
 @dataclass(frozen=True)
@@ -312,17 +311,79 @@ def standard_exponential(rng):
     return exponential_from_uniform(rng.uniform_open_closed())
 
 
-def finish_slots(done, idx):
-    """Where the particles flagged in `done` sit in a lockstep loop's live
-    arrays and in its chunk outputs.
+def stream_inputs(n, stream_lo, ctr0):
+    """Stream ids stream_lo + i and starting counters of n particles.
 
-    `idx` maps live positions to output slots; None stands for the identity,
-    before any particle has left. Slices replace index arrays where they
-    can, so a round in which every live particle finishes copies instead of
-    gathering and scattering.
+    ctr0 is None (every particle starts at counter 0), one counter for all,
+    or one counter per particle.
     """
-    fin = slice(None) if done.all() else np.flatnonzero(done)
-    return fin, fin if idx is None else idx[fin]
+    streams = np.arange(stream_lo, stream_lo + n, dtype=np.uint64)
+    if ctr0 is None:
+        return streams, np.zeros(n, dtype=np.uint64)
+    ctr0 = np.asarray(ctr0, dtype=np.uint64)
+    return streams, np.full(n, ctr0, dtype=np.uint64) if ctr0.shape == () else ctr0
+
+
+def whole_steps(dt, n_steps):
+    """Check the step grid of a stepping ensemble; returns n_steps as int."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if n_steps < 1 or int(n_steps) != n_steps:
+        raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
+    return int(n_steps)
+
+
+def lockstep(live, scale, finish, collide):
+    """Run a particle population to the end in lockstep rounds; returns the
+    wall seconds of the loop.
+
+    `live` maps names to equal-length arrays over the particles still
+    running; it holds at least "keys" (stream keys), "ctr" (next counters)
+    and "rem" (time left). In round r every live particle draws its flight
+    dtau = scale * Exp(1) at its next counter. A particle whose flight
+    reaches its remaining time finishes with r collisions:
+    finish(fin, slots, r, tail) gets its live positions, its output slots
+    and tail = rem[fin], the length of its last flight. The others collide:
+    collide(dtau) moves them and draws what the driver needs. It may return
+    a mask of particles that are done at that collision; they get
+    finish(fin, slots, r + 1, None).
+
+    The arrays in `live` are gathered down only in rounds where some
+    particle finishes, one reassignment per array, so each old array is
+    freed as its successor is made; drivers write a particle's outputs once,
+    when it finishes. Positions and slots are slices while no particle has
+    left or when all finish, so such a round copies instead of gathering.
+    """
+    t_loop = time.perf_counter()
+    idx = None  # output slot of each live particle; None while all are live
+    rnd = 0
+
+    def retire(done, flew):
+        # finish the flagged particles and drop them; False once none is left
+        nonlocal idx
+        everyone = done.all()
+        fin = slice(None) if everyone else np.flatnonzero(done)
+        finish(fin, fin if idx is None else idx[fin], rnd, live["rem"][fin] if flew else None)
+        if everyone:
+            return False
+        keep = ~done
+        idx = np.flatnonzero(keep) if idx is None else idx[keep]
+        for name in live:
+            live[name] = live[name][keep]
+        return True
+
+    while True:
+        live["dtau"] = exponential_keyed(live["keys"], live["ctr"])
+        live["dtau"] *= scale
+        live["ctr"] += np.uint64(1)
+        done = live["dtau"] >= live["rem"]
+        if done.any() and not retire(done, True):
+            break
+        done = collide(live.pop("dtau"))
+        rnd += 1
+        if done is not None and done.any() and not retire(done, False):
+            break
+    return time.perf_counter() - t_loop
 
 
 def map_chunked(fn, n, threads=1, chunk=1 << 16):

@@ -68,6 +68,8 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
 
     Candidates are scanned in stream order, so the accepted set is a pure
     function of the seed. Rejection leaves the conditioned law unbiased.
+    Candidates stay inside the point's window of _POINT_STRIDE streams; a
+    point that would need more fails rather than reuse the next point's.
     Returns (stream ids, displacement, first overlap, last overlap, final
     velocity) of the accepted paths.
     """
@@ -77,7 +79,12 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     next_candidate = 0
     while got < n:
         want = int((n - got) / accept_p * 1.15) + 64
-        want = min(want, 1 << 21)
+        want = min(want, 1 << 21, _POINT_STRIDE - next_candidate)
+        if want <= 0:
+            raise RuntimeError(
+                f"{n} paths with a collision at dt={dt} need more than the "
+                f"{_POINT_STRIDE} candidate streams of one grid point"
+            )
         ids = stream_lo + np.arange(next_candidate, next_candidate + want, dtype=np.uint64)
         next_candidate += want
         ens = kinetic_ensemble(

@@ -8,34 +8,31 @@ that velocity then seeds the next step, carrying the inter-step
 correlation. A flight spanning several steps is executed as one kinetic
 move and the clock jumps to the end of the step containing the collision.
 
-`kd_ensemble` runs the same scheme on a population in lockstep rounds. Each
-round draws one flight per live particle at its next counter. A particle
-whose flight outlasts its remaining steps finishes with it; the others
-collide, take the Gaussian substep, and finish as well if that was their
-last step. The live arrays, together with each particle's kinetic and
-diffusive time sums, are gathered down only in rounds where some particle
-finishes, and a particle's outputs are written once, when it finishes: its
-collision count is the number of rounds in which it collided.
+`kd_ensemble` runs the same draws on a population through
+`core.lockstep`. A collision moves the particle by its flight, draws its
+new velocity and then the Gaussian substep's normal, and ends the
+particle's run when the step holding it was the last one.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     ParticleState,
-    exponential_keyed,
-    finish_slots,
+    exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.exponential_keyed
+    lockstep,
     map_chunked,
     normal_from_counter,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.normal_from_counter
     normal_keyed,
     sample_maxwellian,
     standard_exponential,
+    stream_inputs,
     stream_keys,
+    whole_steps,
 )
 from .moments import conditioned_mean_var
 
@@ -181,19 +178,16 @@ def _collision_remainder(dtau, dt, left):
 
 def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
     n = x0.shape[0]
-    rate_scale = params.eps * params.eps / params.sigma
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
-
-    # live particles only; gathered down in rounds where some finish
-    x = x0.copy()
-    v = v0.copy()
-    left = np.full(n, n_steps, dtype=np.int64)  # steps not yet started
-    ctr = ctr0.copy()
-    keys = stream_keys(seed, streams)
-    idx = None  # output slot of each live particle; None while all are live
-    kin = diff = None
-
+    live = {
+        "keys": stream_keys(seed, streams),
+        "ctr": ctr0.copy(),
+        "rem": np.full(n, n_steps * dt),
+        "left": np.full(n, n_steps, dtype=np.int64),  # steps not yet started
+        "x": x0.copy(),
+        "v": v0.copy(),
+    }
     # the initial values are the results of a particle without collisions
     out_x = np.empty(n)
     out_v = np.empty(n)
@@ -201,79 +195,49 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
     out_diff = np.zeros(n)
     out_kin = np.full(n, n_steps * dt)
 
-    t_loop = time.perf_counter()
-    rnd = 0
-    while True:
-        rem = left * dt
-        dtau = exponential_keyed(keys, ctr)
-        dtau *= rate_scale
-        ctr += np.uint64(1)
-        done = dtau >= rem
-        if done.any():
-            fin, d = finish_slots(done, idx)
-            vf = v[fin]
-            out_x[d] = x[fin] + (vf / params.eps) * rem[fin]
-            out_v[d] = vf
-            if rnd:
-                out_coll[d] = rnd
-                out_diff[d] = diff[fin]
-                out_kin[d] = kin[fin] + rem[fin]
-            live = ~done
-            if not live.any():
-                break
-            idx = np.flatnonzero(live) if idx is None else idx[live]
-            keys = keys[live]
-            x = x[live]
-            v = v[live]
-            left = left[live]
-            ctr = ctr[live]
-            dtau = dtau[live]
-            if rnd:
-                kin = kin[live]
-                diff = diff[live]
-        x += (v / params.eps) * dtau
-        theta = _collision_remainder(dtau, dt, left)
-        v = normal_keyed(keys, ctr)
+    def finish(fin, slots, rnd, tail):
+        x, v = live["x"][fin], live["v"][fin]
+        out_x[slots] = x if tail is None else x + (v / params.eps) * tail
+        out_v[slots] = v
+        if rnd:
+            out_coll[slots] = rnd
+            out_diff[slots] = live["diff"][fin]
+            kin = live["kin"][fin]
+            out_kin[slots] = kin if tail is None else kin + tail
+
+    # the round's temporaries stay bound until the next round replaces them:
+    # released together at return, they let malloc trim the heap top, and
+    # the next round's kernel table faults it back in page by page
+    theta = z = mean = var = None
+
+    def collide(dtau):
+        nonlocal theta, z, mean, var
+        live["x"] += (live["v"] / params.eps) * dtau
+        theta = _collision_remainder(dtau, dt, live["left"])
+        v = normal_keyed(live["keys"], live["ctr"])
         v *= vel_sd
         v += vel_mean
-        ctr += np.uint64(1)
-        z = normal_keyed(keys, ctr)
-        ctr += np.uint64(1)
+        live["v"] = v
+        live["ctr"] += np.uint64(1)
+        z = normal_keyed(live["keys"], live["ctr"])
+        live["ctr"] += np.uint64(1)
         mean, var = conditioned_mean_var(params, theta, v)
         np.sqrt(var, out=var)
         var *= z
         var += mean
-        x += var
-        if rnd:
-            kin += dtau
-            diff += theta
+        live["x"] += var
+        if "kin" in live:
+            live["kin"] += dtau
+            live["diff"] += theta
         else:
             # the scalar stepper's sums start from 0.0
-            kin = 0.0 + dtau
-            diff = 0.0 + theta
-        rnd += 1
-        # particles whose collision step was the last one are finished now;
-        # the scalar loop draws nothing further for them either
-        at_end = left == 0
-        if at_end.any():
-            fin, d = finish_slots(at_end, idx)
-            out_x[d] = x[fin]
-            out_v[d] = v[fin]
-            out_coll[d] = rnd
-            out_diff[d] = diff[fin]
-            out_kin[d] = kin[fin]
-            live = ~at_end
-            if not live.any():
-                break
-            idx = np.flatnonzero(live) if idx is None else idx[live]
-            keys = keys[live]
-            x = x[live]
-            v = v[live]
-            left = left[live]
-            ctr = ctr[live]
-            kin = kin[live]
-            diff = diff[live]
-    elapsed = time.perf_counter() - t_loop
+            live["kin"] = 0.0 + dtau
+            live["diff"] = 0.0 + theta
+        np.multiply(live["left"], dt, out=live["rem"])
+        # the scalar loop draws nothing further after the last step either
+        return live["left"] == 0
+
+    elapsed = lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
     return out_x, out_v, out_coll, out_diff, out_kin, np.array([elapsed])
 
 
@@ -296,26 +260,17 @@ def kd_ensemble(
     event the draw sequence and position arithmetic coincide with
     kinetic_ensemble bit for bit.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if n_steps < 1 or int(n_steps) != n_steps:
-        raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
+    n_steps = whole_steps(dt, n_steps)
     x0 = np.asarray(x0, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.float64)
     n = x0.shape[0]
     if v0.shape[0] != n:
         raise ValueError("x0 and v0 must have equal length")
-    if ctr0 is None:
-        ctr0 = np.zeros(n, dtype=np.uint64)
-    else:
-        ctr0 = np.asarray(ctr0, dtype=np.uint64)
-        if ctr0.shape == ():
-            ctr0 = np.full(n, ctr0, dtype=np.uint64)
-    streams_all = np.arange(stream_lo, stream_lo + n, dtype=np.uint64)
+    streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
 
     def run(lo, hi):
         return _kd_chunk(
-            params, x0[lo:hi], v0[lo:hi], dt, int(n_steps), seed, streams_all[lo:hi], ctr0[lo:hi]
+            params, x0[lo:hi], v0[lo:hi], dt, n_steps, seed, streams[lo:hi], ctr0[lo:hi]
         )
 
     x, v, coll, diff, kin, loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
@@ -334,25 +289,18 @@ def random_walk_ensemble(
     chunk=1 << 16,
 ):
     """Advance n particles over n_steps random-walk steps; returns positions."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = whole_steps(dt, n_steps)
     x0 = np.asarray(x0, dtype=np.float64)
     n = x0.shape[0]
-    if ctr0 is None:
-        ctr0 = np.zeros(n, dtype=np.uint64)
-    else:
-        ctr0 = np.asarray(ctr0, dtype=np.uint64)
-        if ctr0.shape == ():
-            ctr0 = np.full(n, ctr0, dtype=np.uint64)
+    streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
     drift = params.u * dt
     scale = math.sqrt(2.0 * (params.temperature / params.sigma) * dt)
-    streams_all = np.arange(stream_lo, stream_lo + n, dtype=np.uint64)
 
     def run(lo, hi):
         x = x0[lo:hi].copy()
         ctr = ctr0[lo:hi].copy()
-        keys = stream_keys(seed, streams_all[lo:hi])
-        for _ in range(int(n_steps)):
+        keys = stream_keys(seed, streams[lo:hi])
+        for _ in range(n_steps):
             z = normal_keyed(keys, ctr)
             z *= scale
             x += drift

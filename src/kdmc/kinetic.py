@@ -1,24 +1,13 @@
 """Velocity-jump reference simulation: collision times and free flights.
 
-The scalar stepper is the readable reference; `kinetic_ensemble` advances
-whole particle populations in lockstep with the same per-particle draw
-sequence (stream = particle id, one counter per draw) so results are
-reproducible at any thread count.
-
-The lockstep loop runs in rounds. In round r every live particle draws its
-flight; a particle whose flight outlasts its remaining time finishes, with
-r collisions, and the others collide and draw a new velocity. The live
-arrays, and each particle's first and last flight overlaps with them, are
-gathered down only in rounds where some particle finishes, and a
-particle's outputs are written once, when it finishes. A particle that
-finishes in round 0 keeps the initial output values that are already
-right for it.
+The scalar stepper is the readable reference. `kinetic_ensemble` runs the
+same draws on a population through `core.lockstep`: a collision moves the
+particle by its flight and draws a Maxwellian velocity at the next counter.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +15,13 @@ import numpy as np
 from .core import (
     BackgroundParams,
     ParticleState,
-    exponential_keyed,
-    finish_slots,
+    exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.exponential_keyed
+    lockstep,
     map_chunked,
     normal_keyed,
     sample_maxwellian,
     standard_exponential,
+    stream_inputs,
     stream_keys,
 )
 
@@ -162,19 +152,15 @@ class KineticEnsemble:
 
 def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0):
     n = x0.shape[0]
-    rate_scale = params.eps * params.eps / params.sigma
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
-
-    # live particles only; gathered down in rounds where some finish
-    x = x0.copy()
-    v = v0.copy()
-    rem = np.full(n, float(duration))
-    ctr = ctr0.copy()
-    keys = stream_keys(seed, streams)
-    idx = None  # output slot of each live particle; None while all are live
-    first = None
-
+    live = {
+        "keys": stream_keys(seed, streams),
+        "ctr": ctr0.copy(),
+        "rem": np.full(n, float(duration)),
+        "x": x0.copy(),
+        "v": v0.copy(),
+    }
     # the initial values are the results of a particle without collisions
     out_x = np.empty(n)
     out_v = np.empty(n)
@@ -182,44 +168,26 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0):
     out_first = np.full(n, float(duration))
     out_last = np.full(n, float(duration))
 
-    t_loop = time.perf_counter()
-    rnd = 0
-    while True:
-        dtau = exponential_keyed(keys, ctr)
-        dtau *= rate_scale
-        ctr += np.uint64(1)
-        done = dtau >= rem
-        if done.any():
-            fin, d = finish_slots(done, idx)
-            vf = v[fin]
-            out_x[d] = x[fin] + (vf / params.eps) * rem[fin]
-            out_v[d] = vf
-            if rnd:
-                out_coll[d] = rnd
-                out_first[d] = first[fin]
-                out_last[d] = rem[fin]
-            live = ~done
-            if not live.any():
-                break
-            idx = np.flatnonzero(live) if idx is None else idx[live]
-            keys = keys[live]
-            x = x[live]
-            v = v[live]
-            rem = rem[live]
-            ctr = ctr[live]
-            dtau = dtau[live]
-            if rnd:
-                first = first[live]
-        if not rnd:
-            first = dtau
-        x += (v / params.eps) * dtau
-        rem -= dtau
-        v = normal_keyed(keys, ctr)
+    def finish(fin, slots, rnd, tail):
+        vf = live["v"][fin]
+        out_x[slots] = live["x"][fin] + (vf / params.eps) * tail
+        out_v[slots] = vf
+        if rnd:
+            out_coll[slots] = rnd
+            out_first[slots] = live["first"][fin]
+            out_last[slots] = tail
+
+    def collide(dtau):
+        live.setdefault("first", dtau)  # the round-0 flight
+        live["x"] += (live["v"] / params.eps) * dtau
+        live["rem"] -= dtau
+        v = normal_keyed(live["keys"], live["ctr"])
         v *= vel_sd
         v += vel_mean
-        ctr += np.uint64(1)
-        rnd += 1
-    elapsed = time.perf_counter() - t_loop
+        live["v"] = v
+        live["ctr"] += np.uint64(1)
+
+    elapsed = lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
     return out_x, out_v, out_coll, out_first, out_last, np.array([elapsed])
 
 
@@ -247,23 +215,11 @@ def kinetic_ensemble(
     n = x0.shape[0]
     if v0.shape[0] != n:
         raise ValueError("x0 and v0 must have equal length")
-    if ctr0 is None:
-        ctr0 = np.zeros(n, dtype=np.uint64)
-    else:
-        ctr0 = np.asarray(ctr0, dtype=np.uint64)
-        if ctr0.shape == ():
-            ctr0 = np.full(n, ctr0, dtype=np.uint64)
-    streams_all = np.arange(stream_lo, stream_lo + n, dtype=np.uint64)
+    streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
 
     def run(lo, hi):
         return _kinetic_chunk(
-            params,
-            x0[lo:hi],
-            v0[lo:hi],
-            duration,
-            seed,
-            streams_all[lo:hi],
-            ctr0[lo:hi],
+            params, x0[lo:hi], v0[lo:hi], duration, seed, streams[lo:hi], ctr0[lo:hi]
         )
 
     x, v, coll, first, last, loop_t = map_chunked(run, n, threads=threads, chunk=chunk)

@@ -1,4 +1,4 @@
-"""Empirical Wasserstein-1 distance, ensemble summaries, and order fits."""
+"""Empirical Wasserstein-1 distance, histogram binning, and order fits."""
 
 from __future__ import annotations
 
@@ -7,22 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "W1Result",
     "HistogramSpec",
-    "EnsembleSummary",
-    "w1_empirical",
     "w1_sorted",
-    "summarize",
     "fit_order",
 ]
-
-
-@dataclass(frozen=True)
-class W1Result:
-    """Wasserstein-1 distance between two equal-size empirical measures."""
-
-    distance: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -50,19 +38,6 @@ class HistogramSpec:
         return np.bincount(k, minlength=self.bins)
 
 
-@dataclass(frozen=True)
-class EnsembleSummary:
-    """Sample moments, histogram, and counters of one simulated ensemble."""
-
-    n: int
-    mean: float
-    variance: float
-    edges: np.ndarray
-    counts: np.ndarray
-    collisions_total: int = 0
-    wall_time: float = 0.0
-
-
 def w1_sorted(samples_a, samples_b):
     """Bare W1 distance: mean absolute difference of order statistics.
 
@@ -74,30 +49,6 @@ def w1_sorted(samples_a, samples_b):
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError(f"need equal nonzero sample counts, got {a.shape} and {b.shape}")
     return float(np.mean(np.abs(a - b)))
-
-
-def w1_empirical(samples_a, samples_b):
-    n = np.asarray(samples_a).shape[0]
-    return W1Result(w1_sorted(samples_a, samples_b), n)
-
-
-def summarize(states, spec=None, collisions_total=0, wall_time=0.0):
-    """One-pass moments (unbiased variance) and binned counts of positions."""
-    x = np.asarray(states, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("nonempty 1-d ensemble required")
-    spec = spec if spec is not None else HistogramSpec()
-    mean = float(np.mean(x))
-    variance = float(np.var(x, ddof=1)) if x.size > 1 else 0.0
-    return EnsembleSummary(
-        n=x.size,
-        mean=mean,
-        variance=variance,
-        edges=spec.edges,
-        counts=spec.counts(x),
-        collisions_total=int(collisions_total),
-        wall_time=float(wall_time),
-    )
 
 
 def fit_order(xs, ys):

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "StepMoments",
     "mean_unconditioned",
     "var_unconditioned",
     "mean_conditioned",
     "var_conditioned",
-    "conditioned_moments",
     "conditioned_mean_var",
     "conditional_flighttime_pdf",
     "final_flight_moments",
@@ -106,14 +104,6 @@ def _cond_var_kernel(a):
     return float(k4[0]) if scalar else k4
 
 
-@dataclass(frozen=True)
-class StepMoments:
-    """Mean and variance of a positional increment over one substep."""
-
-    mean: float
-    variance: float
-
-
 def mean_unconditioned(params, dt):
     """Mean displacement over dt with all velocities Maxwellian: u * dt."""
     dt = np.asarray(dt, dtype=np.float64)
@@ -171,11 +161,6 @@ def mean_conditioned(params, dt, v_final):
 def var_conditioned(params, dt, v_final):
     """Variance of the displacement over dt given the final velocity."""
     return conditioned_mean_var(params, dt, v_final)[1]
-
-
-def conditioned_moments(params, dt, v_final):
-    mean, var = conditioned_mean_var(params, dt, v_final)
-    return StepMoments(mean, var)
 
 
 def conditional_flighttime_pdf(dtau, k, dt):

@@ -6,6 +6,8 @@ fresh Maxwellian draws; only the segment that reaches the end of the step
 flies at the pinned value (when no collision occurs, the whole step does).
 Because the final velocity is independent of all other randomness in the
 jump process, substituting its value samples the conditioned law exactly.
+The paths run through `core.lockstep`; a collision moves a path by its
+flight at a fresh Maxwellian velocity.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import exponential_keyed, finish_slots, map_chunked, normal_keyed, stream_keys
+from .core import (
+    exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.exponential_keyed
+    lockstep,
+    map_chunked,
+    normal_keyed,
+    stream_inputs,
+    stream_keys,
+)
 
 __all__ = ["OracleMoments", "conditioned_increment_ensemble", "oracle_conditioned_increment"]
 
@@ -33,45 +42,31 @@ class OracleMoments:
 
 def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0):
     n = durations.shape[0]
-    rate_scale = params.eps * params.eps / params.sigma
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
-
-    # live paths only; gathered down in rounds where some finish
-    x = np.zeros(n)
-    rem = durations.copy()
-    vf = v_final
-    ctr = ctr0.copy()
-    keys = stream_keys(seed, streams)
-    idx = None  # output slot of each live particle; None while all are live
+    live = {
+        "keys": stream_keys(seed, streams),
+        "ctr": ctr0.copy(),
+        "rem": durations.copy(),
+        "x": np.zeros(n),
+        "vf": v_final,
+    }
     out = np.empty(n)
 
-    while True:
-        dtau = exponential_keyed(keys, ctr)
-        dtau *= rate_scale
-        ctr += np.uint64(1)
-        done = dtau >= rem
-        if done.any():
-            fin, d = finish_slots(done, idx)
-            out[d] = x[fin] + (vf[fin] / params.eps) * rem[fin]
-            live = ~done
-            if not live.any():
-                break
-            idx = np.flatnonzero(live) if idx is None else idx[live]
-            keys = keys[live]
-            x = x[live]
-            vf = vf[live]
-            rem = rem[live]
-            ctr = ctr[live]
-            dtau = dtau[live]
-        w = normal_keyed(keys, ctr)
+    def finish(fin, slots, rnd, tail):
+        out[slots] = live["x"][fin] + (live["vf"][fin] / params.eps) * tail
+
+    def collide(dtau):
+        w = normal_keyed(live["keys"], live["ctr"])
         w *= vel_sd
         w += vel_mean
-        ctr += np.uint64(1)
+        live["ctr"] += np.uint64(1)
         w /= params.eps
         w *= dtau
-        x += w
-        rem -= dtau
+        live["x"] += w
+        live["rem"] -= dtau
+
+    lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
     return (out,)
 
 
@@ -104,17 +99,11 @@ def conditioned_increment_ensemble(
         raise ValueError("durations and v_final must have equal length")
     if np.any(durations < 0):
         raise ValueError("durations must be nonnegative")
-    if ctr0 is None:
-        ctr0 = np.zeros(n, dtype=np.uint64)
-    else:
-        ctr0 = np.asarray(ctr0, dtype=np.uint64)
-        if ctr0.shape == ():
-            ctr0 = np.full(n, ctr0, dtype=np.uint64)
-    streams_all = np.arange(stream_lo, stream_lo + n, dtype=np.uint64)
+    streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
 
     def run(lo, hi):
         return _conditioned_chunk(
-            params, durations[lo:hi], v_final[lo:hi], seed, streams_all[lo:hi], ctr0[lo:hi]
+            params, durations[lo:hi], v_final[lo:hi], seed, streams[lo:hi], ctr0[lo:hi]
         )
 
     (dx,) = map_chunked(run, n, threads=threads, chunk=chunk)

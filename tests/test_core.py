@@ -116,10 +116,18 @@ class TestRngStream:
         assert u.min() > 0.0
         assert u.max() <= 1.0
 
-    def test_spawn(self):
-        base = RngStream(77)
-        child = base.spawn(5)
-        assert child.seed == 77 and child.stream == 5 and child.counter == 0
+    def test_counter_wraps_like_keyed_draws(self):
+        # the keyed draws take uint64 counters, so a stream wraps mod 2**64
+        seed, stream = 1, 6
+        wrap = np.array([2**64 - 1, 0, 1], dtype=np.uint64)
+        keys = stream_keys(seed, np.full(3, stream, dtype=np.uint64))
+        for draw, keyed in (("exponential", exponential_keyed), ("normal", normal_keyed)):
+            want = keyed(keys, wrap)
+            rng = RngStream(seed, stream, counter=2**64 - 1)
+            scalar = [getattr(rng, draw)() for _ in range(3)]
+            assert np.array_equal(scalar, want) and rng.counter == 2
+            rng = RngStream(seed, stream, counter=2**64 - 1)
+            assert np.array_equal(getattr(rng, draw)(size=3), want) and rng.counter == 2
 
 
 class TestKeyedDraws:

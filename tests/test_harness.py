@@ -17,7 +17,6 @@ from kdmc.config import (
     config_from_dict,
     emit_csv,
     format_csv_value,
-    parse_config,
 )
 from kdmc.experiments import run_experiment
 from kdmc.moments import mean_conditioned, var_conditioned
@@ -34,7 +33,8 @@ class TestConfig:
         assert again == cfg
         path = tmp_path / "h.json"
         path.write_text(cfg.to_json())
-        assert parse_config(path) == cfg
+        args = cli.build_parser().parse_args(["histogram", "--config", str(path)])
+        assert config_from_dict(cli._load_document(args)) == cfg
 
     def test_missing_seed_rejected(self):
         with pytest.raises(MissingFieldError):
@@ -94,14 +94,15 @@ class TestConfig:
         assert speedup.collisionality_grid == (0.01, 1.0, 10.0, 100.0, 1000.0)
 
     def test_malformed_json_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(MalformedConfigError):
-            parse_config(path)
-        path2 = tmp_path / "list.json"
-        path2.write_text("[1, 2]")
-        with pytest.raises(MalformedConfigError):
-            parse_config(path2)
+        out = tmp_path / "h.csv"
+        for name, text in (("bad.json", "{not json"), ("list.json", "[1, 2]")):
+            path = tmp_path / name
+            path.write_text(text)
+            argv = ["histogram", "--config", str(path), "--out", str(out)]
+            assert cli.main(argv) == MalformedConfigError.exit_code
+        argv = ["histogram", "--config", str(tmp_path / "absent.json"), "--out", str(out)]
+        assert cli.main(argv) == MalformedConfigError.exit_code
+        assert not out.exists()
 
 
 class TestCsv:
@@ -271,6 +272,28 @@ class TestCli:
         monkeypatch.setattr(exps, "run_experiment", fake)
         code = cli.main(["constants-check", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 7
+
+    def test_rejection_stays_in_its_stream_window(self, monkeypatch, tmp_path):
+        from kdmc import experiments as exps
+
+        # about 1% of candidates collide at dt = 0.01, so 50 paths need
+        # about 5000 candidate streams
+        cfg = tmp_path / "low.json"
+        cfg.write_text(json.dumps({"experiment": "single-step-low", "seed": 1, "particles": 50,
+                                   "dt_grid": [0.01], "velocity_bins": 4}))
+
+        def run(stride):
+            monkeypatch.setattr(exps, "_POINT_STRIDE", stride)
+            out = tmp_path / f"low{stride}.csv"
+            return cli.main(["single-step-low", "--config", str(cfg), "--out", str(out)]), out
+
+        code, wide = run(1 << 34)
+        assert code == 0
+        # a window that cuts the first batch short still yields the same paths
+        code, clipped = run(5500)
+        assert code == 0 and clipped.read_bytes() == wide.read_bytes()
+        code, out = run(1000)
+        assert code == cli.EXIT_RUNTIME and not out.exists()
 
     def test_console_script_subprocess(self, tmp_path):
         out = tmp_path / "sub.csv"

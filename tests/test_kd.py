@@ -216,6 +216,11 @@ class TestRandomWalk:
         x = random_walk_ensemble(P_UNIT, np.zeros(n), 1.0, 1, seed=12)
         moment_check(x, target_mean=0.0, target_var=2.0)
 
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+    def test_step_count_validated(self, n_steps):
+        with pytest.raises(ValueError):
+            random_walk_ensemble(P_UNIT, np.zeros(4), 0.5, n_steps, seed=5)
+
     def test_scalar_matches_vectorized(self):
         n = 32
         x = random_walk_ensemble(P_UNIT, np.zeros(n), 0.5, 4, seed=5)

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from kdmc import HistogramSpec, RngStream, fit_order, summarize, w1_empirical
-from kdmc.metrics import w1_sorted
+from kdmc import HistogramSpec, RngStream, fit_order, w1_sorted
+from kdmc.oracles import sample_moments
 
 
 class TestW1:
     def test_identical_sets(self):
         x = np.array([3.0, -1.0, 2.0])
-        res = w1_empirical(x, x.copy())
-        assert res.distance == 0.0
-        assert res.n == 3
+        assert w1_sorted(x, x.copy()) == 0.0
 
     def test_translation(self):
         x = RngStream(1, 0).normal(size=10_000)
@@ -28,9 +26,9 @@ class TestW1:
 
     def test_mismatched_counts_rejected(self):
         with pytest.raises(ValueError):
-            w1_empirical(np.ones(3), np.ones(4))
+            w1_sorted(np.ones(3), np.ones(4))
         with pytest.raises(ValueError):
-            w1_empirical(np.ones(0), np.ones(0))
+            w1_sorted(np.ones(0), np.ones(0))
 
     def test_symmetry_and_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -58,43 +56,32 @@ class TestW1:
 
 
 class TestSummarize:
-    def test_single_particle(self):
-        s = summarize(np.array([3.0]))
-        assert s.mean == 3.0
-        assert s.variance == 0.0
-        assert s.n == 1
+    """The ensemble summaries the experiments report: sample moments and
+    histogram counts."""
 
     def test_two_point_unbiased_variance(self):
-        s = summarize(np.array([1.0, -1.0]))
+        s = sample_moments(np.array([1.0, -1.0]))
         assert s.mean == 0.0
         assert s.variance == pytest.approx(2.0)  # unbiased convention
+        assert s.n == 2
 
     def test_large_normal_sample(self):
         x = RngStream(4, 0).normal(size=1_000_000)
-        s = summarize(x)
+        s = sample_moments(x)
         assert abs(s.mean) <= 0.004
         assert abs(s.variance - 1.0) <= 0.006
 
     def test_histogram_counts_total_n(self):
         spec = HistogramSpec(-1.0, 1.0, 10)
         x = np.array([-5.0, -1.0, -0.05, 0.0, 0.3, 0.9999, 1.0, 7.0])
-        s = summarize(x, spec)
-        assert s.counts.sum() == x.size  # edge bins absorb out-of-range
-        assert s.counts[0] >= 2 and s.counts[-1] >= 2
-        assert len(s.edges) == 11
+        counts = spec.counts(x)
+        assert counts.sum() == x.size  # edge bins absorb out-of-range
+        assert counts[0] >= 2 and counts[-1] >= 2
+        assert len(spec.edges) == 11
 
     def test_default_spec_matches_report_range(self):
         spec = HistogramSpec()
         assert spec.lo == -15.0 and spec.hi == 15.0 and spec.bins == 100
-
-    def test_counters_passthrough(self):
-        s = summarize(np.ones(4), collisions_total=17, wall_time=0.25)
-        assert s.collisions_total == 17
-        assert s.wall_time == 0.25
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize(np.array([]))
 
 
 class TestFitOrder:

@@ -137,14 +137,6 @@ class TestConditioned:
         with pytest.raises(ValueError):
             var_conditioned(P_UNIT, -0.1, 1.0)
 
-    def test_step_moments_container(self):
-        from kdmc.moments import conditioned_moments
-
-        sm = conditioned_moments(P_UNIT, 0.7, 1.2)
-        assert sm.mean == mean_conditioned(P_UNIT, 0.7, 1.2)
-        assert sm.variance == var_conditioned(P_UNIT, 0.7, 1.2)
-        assert sm.variance >= 0.0
-
 
 class TestFlighttimePdf:
     def test_k1_uniform(self):
