@@ -38,7 +38,7 @@ from .moments import (
     var_unconditioned,
     verify_paper_constants,
 )
-from .oracles import conditioned_increment_ensemble, oracle_conditioned_increment
+from .oracles import conditioned_increment_ensemble
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "kinetic_ensemble",
     "mean_conditioned",
     "mean_unconditioned",
-    "oracle_conditioned_increment",
     "random_walk_ensemble",
     "run_experiment",
     "sample_collision_time",

@@ -11,6 +11,7 @@ Flags override config fields. Exit codes: 0 success, 2 malformed config,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import (
@@ -77,6 +78,11 @@ def main(argv=None):
     from .experiments import run_experiment
 
     out_path = config.out if config.out is not None else f"{config.experiment}.csv"
+    out_dir = os.path.dirname(out_path) or "."
+    # fail before any compute if no file can be created at the output path
+    if os.path.isdir(out_path) or not os.access(out_dir, os.W_OK | os.X_OK):
+        print(f"kdmc: cannot write output {out_path}", file=sys.stderr)
+        return UnwritablePathError.exit_code
     try:
         result = run_experiment(config)
         result.write(out_path)

@@ -3,6 +3,11 @@
 Velocities are stored in scaled form: a particle with velocity sample v
 moves at physical speed v / eps. Post-collisional velocities follow a
 Maxwellian with mean eps * u and variance T.
+
+Every draw is a pure hash of (stream key, counter): `raw64_keyed`,
+`normal_keyed` and `exponential_keyed` on the keys from `stream_keys`.
+`normal_from_counter` and `uniform_open_closed`, which take (seed, stream),
+are compositions of them kept for the benchmark tracer, which wraps them.
 """
 
 from __future__ import annotations
@@ -19,16 +24,12 @@ __all__ = [
     "ParticleState",
     "PiecewiseConstantField",
     "RngStream",
-    "raw64",
     "raw64_keyed",
     "stream_keys",
-    "uniform_open",
     "uniform_open_closed",
     "normal_from_counter",
     "normal_keyed",
-    "exponential_from_counter",
     "exponential_keyed",
-    "exponential_from_uniform",
     "sample_maxwellian",
     "standard_exponential",
     "stream_inputs",
@@ -61,38 +62,14 @@ def _mix64(z):
     return t
 
 
-def _stream_key(seed, stream):
-    # callers guarantee stream is a uint64 array of ndim >= 1
-    seed = np.asarray(seed, dtype=np.uint64)
-    return _mix64(seed ^ _mix64(stream + _PHI))
-
-
-def raw64(seed, stream, counter):
-    """64 random bits as a pure function of (seed, stream, counter).
-
-    Each stream walks its own window of the splitmix64 Weyl orbit; the draw
-    sequence is replay-exact regardless of execution order or threading.
-    """
-    stream = np.asarray(stream, dtype=np.uint64)
-    counter = np.asarray(counter, dtype=np.uint64)
-    # 0-d uint64 operations fall back to numpy scalars, which warn on the
-    # intended modular overflow; the hash runs on 1-d views instead
-    scalar_out = stream.ndim == 0 and counter.ndim == 0
-    if stream.ndim == 0:
-        stream = stream.reshape(1)
-    if counter.ndim == 0:
-        counter = counter.reshape(1)
-    out = _mix64(_stream_key(seed, stream) + (counter + np.uint64(1)) * _PHI)
-    return out[0] if scalar_out else out
-
-
 def stream_keys(seed, stream):
-    """Per-stream hash keys; drivers precompute these once per chunk so the
-    per-draw work reduces to one finalizer round."""
+    """Per-stream hash keys. Each stream walks its own window of the
+    splitmix64 Weyl orbit; drivers hash its key once per chunk, so a draw
+    costs one finalizer round."""
     stream = np.asarray(stream, dtype=np.uint64)
-    if stream.ndim == 0:
-        return _stream_key(seed, stream.reshape(1))[0]
-    return _stream_key(seed, stream)
+    # hashed as 1-d: 0-d uint64 arithmetic warns on the intended modular overflow
+    keys = _mix64(np.asarray(seed, dtype=np.uint64) ^ _mix64(np.atleast_1d(stream) + _PHI))
+    return keys[0] if stream.ndim == 0 else keys
 
 
 def _hash_keyed(keys, counter):
@@ -125,41 +102,8 @@ def _scalar_if(out, keys, counter):
 
 
 def raw64_keyed(keys, counter):
-    """raw64 with the stream key already hashed; bit-identical to raw64."""
+    """64 random bits as a pure function of (stream key, counter)."""
     return _scalar_if(_hash_keyed(keys, counter)[0], keys, counter)
-
-
-def _u_oc(bits):
-    return ((bits >> _S11).astype(np.float64) + 1.0) * _INV53
-
-
-def _u_oo(bits):
-    return ((bits >> _S11).astype(np.float64) + 0.5) * _INV53
-
-
-def uniform_open_closed(seed, stream, counter):
-    """Uniform draw on (0, 1]; zero is impossible by construction."""
-    return _u_oc(raw64(seed, stream, counter))
-
-
-def uniform_open(seed, stream, counter):
-    """Uniform draw on the open interval (0, 1)."""
-    return _u_oo(raw64(seed, stream, counter))
-
-
-def normal_from_counter(seed, stream, counter):
-    """Standard normal via inverse CDF; one counter per draw."""
-    return ndtri(uniform_open(seed, stream, counter))
-
-
-def exponential_from_uniform(u):
-    """Inverse CDF of the unit exponential: u in (0, 1] -> -ln(u)."""
-    return -np.log(u)
-
-
-def exponential_from_counter(seed, stream, counter):
-    """Unit-exponential draw; finite because the uniform excludes 0."""
-    return -np.log(uniform_open_closed(seed, stream, counter))
 
 
 def _keyed_uniform(keys, counter, offset):
@@ -173,17 +117,27 @@ def _keyed_uniform(keys, counter, offset):
 
 
 def normal_keyed(keys, counter):
-    """normal_from_counter with the stream key already hashed; bit-identical."""
+    """Standard normal ndtri(u) of a uniform u on (0, 1); one counter each."""
     u = _keyed_uniform(keys, counter, 0.5)
     return _scalar_if(ndtri(u, out=u), keys, counter)
 
 
 def exponential_keyed(keys, counter):
-    """exponential_from_counter with the stream key already hashed;
-    bit-identical."""
+    """Unit exponential -ln(u) of a uniform u on (0, 1]; always finite."""
     u = _keyed_uniform(keys, counter, 1.0)
     np.log(u, out=u)
     return _scalar_if(np.negative(u, out=u), keys, counter)
+
+
+def uniform_open_closed(seed, stream, counter):
+    """Uniform draw on (0, 1]; zero is impossible by construction."""
+    keys = stream_keys(seed, stream)
+    return _scalar_if(_keyed_uniform(keys, counter, 1.0), keys, counter)
+
+
+def normal_from_counter(seed, stream, counter):
+    """normal_keyed on the keys of (seed, stream)."""
+    return normal_keyed(stream_keys(seed, stream), counter)
 
 
 @dataclass
@@ -192,13 +146,16 @@ class RngStream:
 
     Streams with distinct ids are statistically independent, and every draw
     is a pure function of (seed, stream, counter), so trajectories replay
-    bit-identically across runs and thread schedules. The counter is the
-    only mutable state.
+    bit-identically across runs and thread schedules. The stream key is
+    hashed once, at construction; the counter is the only mutable state.
     """
 
     seed: int
     stream: int = 0
     counter: int = 0
+
+    def __post_init__(self):
+        self._keys = stream_keys(self.seed, self.stream)
 
     def _next_counters(self, size):
         # the counter wraps modulo 2**64, as the keyed draws' uint64 counters do
@@ -209,16 +166,14 @@ class RngStream:
         return np.arange(size, dtype=np.uint64) + np.uint64(c)
 
     def uniform_open_closed(self, size=None):
-        return uniform_open_closed(self.seed, self.stream, self._next_counters(size))
-
-    def uniform_open(self, size=None):
-        return uniform_open(self.seed, self.stream, self._next_counters(size))
+        ctr = self._next_counters(size)
+        return _scalar_if(_keyed_uniform(self._keys, ctr, 1.0), self._keys, ctr)
 
     def normal(self, size=None):
-        return normal_from_counter(self.seed, self.stream, self._next_counters(size))
+        return normal_keyed(self._keys, self._next_counters(size))
 
     def exponential(self, size=None):
-        return exponential_from_counter(self.seed, self.stream, self._next_counters(size))
+        return exponential_keyed(self._keys, self._next_counters(size))
 
 
 @dataclass(frozen=True)
@@ -308,7 +263,7 @@ def sample_maxwellian(params, rng):
 
 def standard_exponential(rng):
     """Draw a unit-exponential flight budget; strictly finite."""
-    return exponential_from_uniform(rng.uniform_open_closed())
+    return -np.log(rng.uniform_open_closed())
 
 
 def stream_inputs(n, stream_lo, ctr0):

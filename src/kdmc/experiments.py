@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .config import MalformedConfigError, emit_csv
+from .config import emit_csv
 from .core import BackgroundParams, normal_from_counter, uniform_open_closed
 from .kd import kd_ensemble, random_walk_ensemble
 from .kinetic import kinetic_ensemble
 from .metrics import HistogramSpec, w1_sorted
 from .moments import (
-    _one_minus_exp,
+    _kernel_table,
     bound_high_collisional,
     bound_low_conditioned,
     conditioned_mean_var,
@@ -62,6 +62,12 @@ class ExperimentResult:
         emit_csv(self.rows, path, self.header)
 
 
+def _maxwellian(params, seed, lo, n):
+    """eps * u + sqrt(T) z, z drawn at counter 0 of streams lo .. lo + n - 1."""
+    z = normal_from_counter(seed, lo + np.arange(n, dtype=np.uint64), np.uint64(0))
+    return params.eps * params.u + math.sqrt(params.temperature) * z
+
+
 def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     """Simulate kinetic single steps from (0, v0), keeping paths with at
     least one collision until n are collected.
@@ -73,7 +79,8 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     Returns (stream ids, displacement, first overlap, last overlap, final
     velocity) of the accepted paths.
     """
-    accept_p = max(float(_one_minus_exp(params.collisionality(dt))), 1e-12)
+    (_, k2, _, _), _ = _kernel_table(params.collisionality(dt))
+    accept_p = max(float(k2[0]), 1e-12)
     kept = []
     got = 0
     next_candidate = 0
@@ -193,12 +200,8 @@ def run_single_step_high(config):
         params = BackgroundParams(config.sigma, config.u, config.temperature, eps)
         lo = i * _POINT_STRIDE
         if config.v_final_std is None:
-            v_kin = params.eps * params.u + math.sqrt(
-                config.temperature
-            ) * normal_from_counter(config.seed, lo + np.arange(n, dtype=np.uint64), np.uint64(0))
-            v_kd = params.eps * params.u + math.sqrt(config.temperature) * normal_from_counter(
-                config.seed, lo + _SIDE_OFFSET + np.arange(n, dtype=np.uint64), np.uint64(0)
-            )
+            v_kin = _maxwellian(params, config.seed, lo, n)
+            v_kd = _maxwellian(params, config.seed, lo + _SIDE_OFFSET, n)
         else:
             pinned = params.eps * params.u + config.v_final_std * math.sqrt(config.temperature)
             v_kin = np.full(n, pinned)
@@ -254,6 +257,7 @@ def run_histogram(config):
         "w1_kd_rw",
         "pooled_std",
     )
+    n_steps = round(config.t_end / config.dt)
     for i, eps in enumerate(config.eps_list):
         params = BackgroundParams(config.sigma, config.u, config.temperature, eps)
         lo = i * _POINT_STRIDE
@@ -264,11 +268,11 @@ def run_histogram(config):
             threads=config.threads,
         )
         kd = kd_ensemble(
-            params, x0, v0, config.dt, _steps(config), config.seed, stream_lo=lo, ctr0=ctr0,
+            params, x0, v0, config.dt, n_steps, config.seed, stream_lo=lo, ctr0=ctr0,
             threads=config.threads,
         )
         rw = random_walk_ensemble(
-            params, x0, config.dt, _steps(config), config.seed, stream_lo=lo, ctr0=ctr0,
+            params, x0, config.dt, n_steps, config.seed, stream_lo=lo, ctr0=ctr0,
             threads=config.threads,
         )
         w1_kin_kd = w1_sorted(kin.x, kd.x)
@@ -295,13 +299,6 @@ def run_histogram(config):
     return ExperimentResult(header, rows)
 
 
-def _steps(config):
-    n = round(config.t_end / config.dt)
-    if n < 1 or abs(n * config.dt - config.t_end) > 1e-9 * max(config.t_end, config.dt):
-        raise MalformedConfigError(f"t_end {config.t_end} is not a multiple of dt {config.dt}")
-    return n
-
-
 def run_speedup(config):
     """Executed-collision counts and wall time, kinetic vs KD, over a
     collisionality sweep. Both schemes run on the same streams so the
@@ -309,7 +306,7 @@ def run_speedup(config):
     rows = []
     n = config.particles
     dt = config.dt
-    n_steps = _steps(config)
+    n_steps = round(config.t_end / config.dt)
     header = ["collisionality", "eps", "kinetic_collisions", "kd_collisions",
               "measured_ratio", "analytic_ratio"]
     if config.measure_time:
@@ -318,10 +315,7 @@ def run_speedup(config):
         eps = math.sqrt(config.sigma * dt / coll)
         params = BackgroundParams(config.sigma, config.u, config.temperature, eps)
         lo = i * _POINT_STRIDE
-        streams = lo + np.arange(n, dtype=np.uint64)
-        v0 = params.eps * params.u + math.sqrt(config.temperature) * normal_from_counter(
-            config.seed, streams, np.uint64(0)
-        )
+        v0 = _maxwellian(params, config.seed, lo, n)
         x0 = np.zeros(n)
 
         def kin_run():
@@ -346,7 +340,8 @@ def run_speedup(config):
         kin_total = kin.total_collisions
         kd_total = kd.total_collisions
         measured = kin_total / max(kd_total, 1)
-        analytic = coll / float(_one_minus_exp(coll))
+        (_, k2, _, _), _ = _kernel_table(coll)
+        analytic = coll / float(k2[0])
         row = [coll, eps, kin_total, kd_total, measured, analytic]
         if config.measure_time:
             kin_t = float(np.median(kin_times))
@@ -377,10 +372,7 @@ def run_moments_check(config):
                 params = BackgroundParams(config.sigma, u, temp, eps)
                 lo = row_index * _POINT_STRIDE
                 row_index += 1
-                streams = lo + np.arange(n, dtype=np.uint64)
-                v0 = params.eps * u + math.sqrt(temp) * normal_from_counter(
-                    config.seed, streams, np.uint64(0)
-                )
+                v0 = _maxwellian(params, config.seed, lo, n)
                 kin = kinetic_ensemble(
                     params, np.zeros(n), v0, dt, config.seed, stream_lo=lo, ctr0=np.uint64(1),
                     threads=config.threads,

@@ -58,15 +58,14 @@ class KdStepRecord:
 
 
 def _step_count(state_t, dt, t_end):
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     span = t_end - state_t
     if span < 0:
         raise ValueError(f"t_end {t_end} precedes current time {state_t}")
-    n = round(span / dt)
+    # no span is a multiple of dt = 0; whole_steps rejects a negative dt
+    n = round(span / dt) if dt else 0
     if n == 0 or abs(n * dt - span) > 1e-9 * max(abs(span), dt):
         raise ValueError(f"t_end - t = {span} is not a positive multiple of dt = {dt}")
-    return n
+    return whole_steps(dt, n)
 
 
 def diffusive_substep(v_next, theta, params, rng):

@@ -41,9 +41,6 @@ HERMITE_W1_NORM = 1.51
 K4_CONSTANT = 18.3
 
 A_SMALL = 1e-3
-# beyond this, every e^-a term is below half an ulp of the value it joins,
-# so the asymptotes equal the exponential expressions bit for bit
-A_LARGE = 45.0
 
 
 def _kernel_table(a):
@@ -51,8 +48,7 @@ def _kernel_table(a):
 
     Returns (e^-a - 1 + a, 1 - e^-a, 1 - 2a e^-a - e^-2a,
     2 e^-a + a + a e^-a - 2) and a scalar-input flag. One shared pair of
-    exponentials serves all four; populations entirely beyond A_LARGE skip
-    the exponentials for the (identical) asymptotes.
+    exponentials serves all four.
     """
     a = np.asarray(a, dtype=np.float64)
     scalar = a.ndim == 0
@@ -60,9 +56,6 @@ def _kernel_table(a):
         a = a.reshape(1)
     if a.size and float(a.min()) < 0:
         raise ValueError("negative duration")
-    if a.size and float(a.min()) >= A_LARGE:
-        ones = np.ones_like(a)
-        return (a - 1.0, ones, ones.copy(), a - 2.0), scalar
     ea = np.exp(-a)
     e2a = ea * ea
     k1 = ea - 1.0 + a
@@ -80,30 +73,6 @@ def _kernel_table(a):
     return (k1, k2, k3, k4), scalar
 
 
-def _expm1_plus(a):
-    """e**(-a) - 1 + a, exact leading order a**2 / 2 for small a."""
-    (k1, _, _, _), scalar = _kernel_table(a)
-    return float(k1[0]) if scalar else k1
-
-
-def _one_minus_exp(a):
-    """1 - e**(-a), leading order a."""
-    (_, k2, _, _), scalar = _kernel_table(a)
-    return float(k2[0]) if scalar else k2
-
-
-def _last_flight_var_kernel(a):
-    """1 - 2a e**(-a) - e**(-2a), leading order a**3 / 3."""
-    (_, _, k3, _), scalar = _kernel_table(a)
-    return float(k3[0]) if scalar else k3
-
-
-def _cond_var_kernel(a):
-    """2 e**(-a) + a + a e**(-a) - 2, leading order a**3 / 6."""
-    (_, _, _, k4), scalar = _kernel_table(a)
-    return float(k4[0]) if scalar else k4
-
-
 def mean_unconditioned(params, dt):
     """Mean displacement over dt with all velocities Maxwellian: u * dt."""
     dt = np.asarray(dt, dtype=np.float64)
@@ -116,10 +85,9 @@ def var_unconditioned(params, dt):
 
     2 (eps/sigma)**2 T (e**(-a) - 1 + a) with a = sigma dt / eps**2.
     """
-    a = params.collisionality(np.asarray(dt, dtype=np.float64))
-    scale = 2.0 * (params.eps / params.sigma) ** 2 * params.temperature
-    out = scale * _expm1_plus(a)
-    return out if np.ndim(out) else float(out)
+    (k1, _, _, _), scalar = _kernel_table(params.collisionality(np.asarray(dt, dtype=np.float64)))
+    out = 2.0 * (params.eps / params.sigma) ** 2 * params.temperature * k1
+    return float(out[0]) if scalar else out
 
 
 def conditioned_mean_var(params, dt, v_final):
@@ -133,19 +101,10 @@ def conditioned_mean_var(params, dt, v_final):
     root in the diffusive substep.
     """
     dt = np.asarray(dt, dtype=np.float64)
-    a = params.collisionality(dt)
-    large = a.ndim and a.size and float(a.min()) >= A_LARGE
-    if not large:
-        (_, k2, k3, k4), scalar = _kernel_table(a)
+    (_, k2, k3, k4), scalar = _kernel_table(params.collisionality(dt))
     drift = np.asarray(v_final, dtype=np.float64) / params.eps - params.u
     rate_scale = params.eps**2 / params.sigma
     diffusive = 2.0 * params.temperature * (params.eps / params.sigma) ** 2
-    if large:
-        # the kernels are k2 = k3 = 1 and k4 = a - 2 here, and multiplying
-        # by 1.0 is exact, so this equals the kernel-table branch bit for bit
-        mean = params.u * dt + drift * rate_scale
-        var = diffusive * (a - 2.0) + drift * drift * rate_scale * rate_scale
-        return mean, np.maximum(var, 0.0)
     mean = params.u * dt + drift * rate_scale * k2
     var = np.maximum(diffusive * k4 + drift * drift * rate_scale * rate_scale * k3, 0.0)
     if scalar and mean.ndim == 1 and mean.shape[0] == 1 and np.ndim(v_final) == 0:

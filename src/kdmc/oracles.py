@@ -26,7 +26,7 @@ from .core import (
     stream_keys,
 )
 
-__all__ = ["OracleMoments", "conditioned_increment_ensemble", "oracle_conditioned_increment"]
+__all__ = ["OracleMoments", "conditioned_increment_ensemble", "sample_moments"]
 
 
 @dataclass(frozen=True)
@@ -122,14 +122,3 @@ def sample_moments(samples):
     se_var = math.sqrt(max(m4 - var * var, 0.0) / n)
     return OracleMoments(mean, var, se_mean, se_var, n)
 
-
-def oracle_conditioned_increment(
-    params, dt, v_final, n, seed, stream_lo=0, threads=1, chunk=1 << 16
-):
-    """Monte Carlo mean/variance of the increment conditioned on v_final."""
-    if n < 10_000:
-        raise ValueError(f"oracle needs n >= 10000 paths, got {n}")
-    dx = conditioned_increment_ensemble(
-        params, dt, v_final, n=n, seed=seed, stream_lo=stream_lo, threads=threads, chunk=chunk
-    )
-    return sample_moments(dx)

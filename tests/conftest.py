@@ -13,10 +13,6 @@ class StubRng:
         assert size is None
         return self.uniforms.pop(0)
 
-    def uniform_open(self, size=None):
-        assert size is None
-        return self.uniforms.pop(0)
-
     def normal(self, size=None):
         assert size is None
         return self.normals.pop(0)

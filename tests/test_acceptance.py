@@ -21,7 +21,7 @@ from scipy.stats import chisquare, poisson
 
 from kdmc import BackgroundParams, verify_paper_constants
 from kdmc.config import config_from_dict
-from kdmc.core import RngStream, normal_from_counter
+from kdmc.core import RngStream
 from kdmc.experiments import run_experiment
 from kdmc.kinetic import kinetic_ensemble
 from kdmc.metrics import fit_order

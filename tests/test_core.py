@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from kdmc import (
     BackgroundParams,
@@ -10,18 +11,50 @@ from kdmc import (
     standard_exponential,
 )
 from kdmc.core import (
-    exponential_from_counter,
-    exponential_from_uniform,
     exponential_keyed,
     map_chunked,
     normal_from_counter,
     normal_keyed,
-    raw64,
     raw64_keyed,
     stream_keys,
     uniform_open_closed,
 )
 from conftest import StubRng, moment_check
+
+_MASK = 2**64 - 1
+_PHI = 0x9E3779B97F4A7C15
+# both ends of the counter range, including the modular wrap
+EDGE_COUNTERS = [0, 1, 2**64 - 2, 2**64 - 1]
+
+
+def _mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def reference_bits(seed, streams, counters):
+    """splitmix64 on Python ints: key = mix(seed ^ mix(stream + phi)), then
+    bits = mix(key + (counter + 1) phi), all modulo 2**64."""
+    out = []
+    for s, c in np.broadcast(streams, counters):
+        key = _mix(seed ^ _mix((int(s) + _PHI) & _MASK))
+        out.append(_mix((key + (int(c) + 1) * _PHI) & _MASK))
+    return np.array(out, dtype=np.uint64)
+
+
+def reference_uniforms(seed, streams, counters, offset):
+    """((bits >> 11) + offset) * 2**-53: offset 1 maps onto (0, 1], 0.5 onto
+    (0, 1)."""
+    bits = reference_bits(seed, streams, counters)
+    return np.array([(float(int(b) >> 11) + offset) * 2.0**-53 for b in bits])
+
+
+# each keyed draw: its uniform offset and the inverse CDF applied to it
+REFERENCE = {
+    exponential_keyed: (1.0, lambda u: -np.log(u)),
+    normal_keyed: (0.5, ndtri),
+}
 
 
 class TestBackgroundParams:
@@ -107,9 +140,9 @@ class TestRngStream:
 
     def test_keyed_matches_unkeyed(self):
         streams = np.arange(100, dtype=np.uint64)
-        ctr = np.full(100, 17, dtype=np.uint64)
+        ctr = np.resize(np.array(EDGE_COUNTERS + [17], dtype=np.uint64), 100)
         keys = stream_keys(321, streams)
-        assert np.array_equal(raw64_keyed(keys, ctr), raw64(321, streams, ctr))
+        assert np.array_equal(raw64_keyed(keys, ctr), reference_bits(321, streams, ctr))
 
     def test_uniform_open_closed_excludes_zero(self):
         u = RngStream(2, 0).uniform_open_closed(size=200_000)
@@ -136,16 +169,12 @@ class TestKeyedDraws:
         n = 100_000
         streams = rng.integers(0, 2**63, n, dtype=np.uint64)
         counters = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
-        # both ends of the counter range, including the modular wrap
-        counters[:4] = [0, 1, 2**64 - 2, 2**64 - 1]
+        counters[:4] = EDGE_COUNTERS
         keys = stream_keys(77, streams)
         keys_before, counters_before = keys.copy(), counters.copy()
-        for keyed, unkeyed in (
-            (exponential_keyed, exponential_from_counter),
-            (normal_keyed, normal_from_counter),
-        ):
+        for keyed, (offset, inverse_cdf) in REFERENCE.items():
             got = keyed(keys, counters)
-            want = unkeyed(77, streams, counters)
+            want = inverse_cdf(reference_uniforms(77, streams, counters, offset))
             assert got.dtype == np.float64 and got.shape == (n,)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(keys, keys_before)
@@ -155,14 +184,17 @@ class TestKeyedDraws:
         streams = np.arange(50, dtype=np.uint64)
         keys = stream_keys(5, streams)
         ctr = np.uint64(2**64 - 1)
-        for keyed, unkeyed in (
-            (exponential_keyed, exponential_from_counter),
-            (normal_keyed, normal_from_counter),
-        ):
-            assert np.array_equal(keyed(keys, ctr), unkeyed(5, streams, ctr))
+        for keyed, (offset, inverse_cdf) in REFERENCE.items():
+            want = inverse_cdf(reference_uniforms(5, streams, ctr, offset))
+            assert np.array_equal(keyed(keys, ctr), want)
             one = keyed(keys[7], np.uint64(3))
             assert np.ndim(one) == 0
-            assert one == unkeyed(5, streams[7:8], np.uint64(3))[0]
+            assert one == inverse_cdf(reference_uniforms(5, 7, 3, offset))[0]
+        # the (seed, stream) forms the experiments call
+        assert np.array_equal(normal_from_counter(5, streams, ctr), normal_keyed(keys, ctr))
+        want = reference_uniforms(5, streams, ctr, 1.0)
+        assert np.array_equal(uniform_open_closed(5, streams, ctr), want)
+        assert uniform_open_closed(5, 7, 3) == reference_uniforms(5, 7, 3, 1.0)[0]
 
 
 class TestSampling:
@@ -190,8 +222,6 @@ class TestSampling:
         assert abs(exkurt) < 5 * np.sqrt(24.0 / n)
 
     def test_exponential_inverse_cdf(self):
-        assert exponential_from_uniform(1.0) == 0.0
-        assert exponential_from_uniform(np.exp(-1.0)) == pytest.approx(1.0)
         assert standard_exponential(StubRng(uniforms=[np.exp(-2.0)])) == pytest.approx(2.0)
 
     def test_exponential_moments(self):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from kdmc import BackgroundParams, oracle_conditioned_increment
+from kdmc import BackgroundParams
 from kdmc import config as config_module
 from kdmc.config import (
     MalformedConfigError,
@@ -20,7 +20,7 @@ from kdmc.config import (
 )
 from kdmc.experiments import run_experiment
 from kdmc.moments import mean_conditioned, var_conditioned
-from kdmc.oracles import conditioned_increment_ensemble
+from kdmc.oracles import conditioned_increment_ensemble, sample_moments
 from kdmc import cli
 
 
@@ -155,13 +155,13 @@ class TestOracle:
     def test_deterministic_flight_surrogate(self):
         # vanishing collisionality: the whole step flies at the pinned value
         p = BackgroundParams(1e-12, 0.0, 1.0, 1.0)
-        res = oracle_conditioned_increment(p, 0.5, 2.0, 10_000, seed=1)
+        res = sample_moments(conditioned_increment_ensemble(p, 0.5, 2.0, n=10_000, seed=1))
         assert res.mean == pytest.approx(1.0, abs=1e-12)
         assert res.variance == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_closed_forms(self):
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-        res = oracle_conditioned_increment(p, 1.0, 1.0, 200_000, seed=7)
+        res = sample_moments(conditioned_increment_ensemble(p, 1.0, 1.0, n=200_000, seed=7))
         assert abs(res.mean - mean_conditioned(p, 1.0, 1.0)) <= 4 * res.se_mean
         assert abs(res.variance - var_conditioned(p, 1.0, 1.0)) <= 4 * res.se_variance
 
@@ -179,11 +179,6 @@ class TestOracle:
             got = conditioned_increment_ensemble(
                 p, durations, v_final, threads=threads, chunk=7, **kwargs)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-
-    def test_minimum_path_count(self):
-        p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            oracle_conditioned_increment(p, 1.0, 1.0, 9_999, seed=1)
 
 
 def small_config(experiment, tmp_path, **extra):
@@ -240,7 +235,9 @@ class TestCli:
         assert code == 0
         assert out.exists()
 
-    def test_exit_codes_distinct(self, tmp_path):
+    def test_exit_codes_distinct(self, monkeypatch, tmp_path):
+        from kdmc import experiments as exps
+
         # malformed document -> 2
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -257,11 +254,13 @@ class TestCli:
         unk = tmp_path / "u.json"
         unk.write_text(json.dumps({"experiment": "histogram", "seed": 1, "bogus": 2}))
         assert cli.main(["histogram", "--config", str(unk)]) == 4
-        # unwritable output path -> 5
-        assert (
-            cli.main(["constants-check", "--seed", "1", "--out", str(tmp_path / "no" / "x.csv")])
-            == 5
-        )
+        # unwritable output path -> 5, found before any compute starts
+        def no_compute(config):
+            raise AssertionError("the experiment ran before the output path was checked")
+
+        monkeypatch.setattr(exps, "run_experiment", no_compute)
+        for out in (tmp_path / "no" / "x.csv", tmp_path):
+            assert cli.main(["constants-check", "--seed", "1", "--out", str(out)]) == 5
 
     def test_self_check_failure_exit_code(self, monkeypatch, tmp_path):
         from kdmc import experiments as exps

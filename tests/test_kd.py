@@ -141,9 +141,8 @@ class TestSimulateKd:
 
     @pytest.mark.parametrize("collisionality", [0.01, 1.0, 50.0, 100.0, 1000.0])
     def test_scalar_matches_vectorized_across_kernel_branches(self, collisionality):
-        # per-step collisionality 0.01 puts most substeps below A_SMALL, 50
-        # mixes populations below and beyond A_LARGE, and 100 and above keep
-        # every substep beyond it
+        # per-step collisionality 0.01 puts most substeps below A_SMALL, and
+        # 50 and above put substeps where the kernels reach their asymptotes
         dt = 0.5
         p = BackgroundParams(1.2, 0.3, 1.4, math.sqrt(1.2 * dt / collisionality))
         n = 120
@@ -197,6 +196,21 @@ class TestSimulateKd:
         b = kd_ensemble(P_UNIT, np.zeros(n), v0, 0.5, 2, seed=8, threads=4, chunk=4096)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.collisions, b.collisions)
+
+
+@pytest.mark.parametrize("stepper", [simulate_kd, simulate_random_walk])
+@pytest.mark.parametrize(
+    "dt,t_end,message",
+    [
+        pytest.param(0.0, 2.0, "multiple of dt", id="zero-dt"),
+        pytest.param(-0.5, 2.0, "dt must be positive", id="negative-dt"),
+        pytest.param(0.5, 0.5, "precedes", id="t-end-before-t"),
+        pytest.param(0.4, 2.0, "multiple of dt", id="two-and-a-half-steps"),
+    ],
+)
+def test_scalar_steppers_reject_bad_step_grid(stepper, dt, t_end, message):
+    with pytest.raises(ValueError, match=message):
+        stepper(ParticleState(0.0, 0.0, 1.0), dt, t_end, P_UNIT, RngStream(0))
 
 
 class TestRandomWalk:

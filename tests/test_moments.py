@@ -17,15 +17,7 @@ from kdmc import (
     var_unconditioned,
     verify_paper_constants,
 )
-from kdmc.moments import (
-    A_LARGE,
-    _cond_var_kernel,
-    _expm1_plus,
-    _kernel_table,
-    _last_flight_var_kernel,
-    _one_minus_exp,
-    conditioned_mean_var,
-)
+from kdmc.moments import _kernel_table, conditioned_mean_var
 
 P_UNIT = BackgroundParams(1.0, 0.0, 1.0, 1.0)
 P_DRIFT = BackgroundParams(1.0, 1.0, 1.0, 1.0)
@@ -211,48 +203,34 @@ class TestBounds:
 class TestKernels:
     def test_expm1_plus_small(self):
         # the series branch resolves the a^2/2 leading term, not zero
-        got = _expm1_plus(1e-8)
-        assert got == pytest.approx(5e-17, rel=0.01)
+        (k1, _, _, _), _ = _kernel_table(1e-8)
+        assert k1[0] == pytest.approx(5e-17, rel=0.01)
 
     def test_series_closed_crossover(self):
         # the direct expressions carry ~1e-16 absolute cancellation noise at
         # the switch point, which limits how closely the branches can agree;
         # the series side is the accurate one
-        for kernel in (_expm1_plus, _one_minus_exp, _last_flight_var_kernel, _cond_var_kernel):
-            for a in (9.99e-4, 1.001e-3):
-                closed = {
-                    _expm1_plus: math.exp(-a) - 1.0 + a,
-                    _one_minus_exp: 1.0 - math.exp(-a),
-                    _last_flight_var_kernel: 1.0 - 2 * a * math.exp(-a) - math.exp(-2 * a),
-                    _cond_var_kernel: 2 * math.exp(-a) + a + a * math.exp(-a) - 2.0,
-                }[kernel]
-                assert kernel(a) == pytest.approx(closed, abs=5e-16)
+        for a in (9.99e-4, 1.001e-3):
+            closed = (
+                math.exp(-a) - 1.0 + a,
+                1.0 - math.exp(-a),
+                1.0 - 2 * a * math.exp(-a) - math.exp(-2 * a),
+                2 * math.exp(-a) + a + a * math.exp(-a) - 2.0,
+            )
+            kernels, scalar = _kernel_table(a)
+            assert scalar
+            for k, want in zip(kernels, closed):
+                assert k[0] == pytest.approx(want, abs=5e-16)
 
     def test_large_a_asymptote_bitwise(self):
-        a = np.linspace(A_LARGE, 500.0, 997)
+        # beyond a = 45 every e^-a term is below half an ulp of the value it
+        # joins, so the exponential expressions give the asymptotes exactly
+        a = np.linspace(45.0, 900.0, 4001)
         (k1, k2, k3, k4), _ = _kernel_table(a)
-        ea = np.exp(-a)
-        assert np.array_equal(k1, ea - 1.0 + a)
-        assert np.array_equal(k2, 1.0 - ea)
-        assert np.array_equal(k3, 1.0 - 2.0 * a * ea - ea * ea)
-        assert np.array_equal(k4, 2.0 * ea + a + a * ea - 2.0)
-
-    def test_large_a_fast_path_matches_kernel_table(self, monkeypatch):
-        p = BackgroundParams(1.3, 0.4, 2.0, 0.2)
-        a = np.concatenate([[A_LARGE], np.linspace(A_LARGE, 900.0, 4001)])
-        dt = a * p.eps**2 / p.sigma
-        dt = dt[p.collisionality(dt) >= A_LARGE]
-        v = np.random.default_rng(3).normal(size=dt.size) * 3.0
-        # one small-a element sends the same population through the table
-        mean_ref, var_ref = conditioned_mean_var(p, np.append(dt, 1e-6), np.append(v, 0.5))
-
-        def no_table(a):
-            raise AssertionError("kernel table evaluated beyond A_LARGE")
-
-        monkeypatch.setattr("kdmc.moments._kernel_table", no_table)
-        mean, var = conditioned_mean_var(p, dt, v)
-        assert np.array_equal(mean, mean_ref[:-1])
-        assert np.array_equal(var, var_ref[:-1])
+        assert np.array_equal(k1, a - 1.0)
+        assert np.array_equal(k2, np.ones_like(a))
+        assert np.array_equal(k3, np.ones_like(a))
+        assert np.array_equal(k4, a - 2.0)
 
     def test_all_kernels_finite_nonnegative(self):
         a = np.array([0.0, 1e-8, 1e-4, 1e-3, 1.0, 10.0, 1e3])
