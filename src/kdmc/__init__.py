@@ -13,7 +13,6 @@ from .core import (
     PiecewiseConstantField,
     RngStream,
     sample_maxwellian,
-    standard_exponential,
 )
 from .experiments import run_experiment
 from .kd import (
@@ -72,7 +71,6 @@ __all__ = [
     "simulate_kd",
     "simulate_kinetic",
     "simulate_random_walk",
-    "standard_exponential",
     "var_conditioned",
     "var_unconditioned",
     "verify_paper_constants",

@@ -16,7 +16,6 @@ import sys
 
 from .config import (
     EXPERIMENTS,
-    CheckFailure,
     ConfigError,
     MalformedConfigError,
     UnwritablePathError,
@@ -24,6 +23,7 @@ from .config import (
 )
 
 EXIT_RUNTIME = 6
+EXIT_CHECK = 7
 
 
 def build_parser():
@@ -89,12 +89,6 @@ def main(argv=None):
     except UnwritablePathError as exc:
         print(f"kdmc: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ConfigError as exc:
-        print(f"kdmc: config error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except CheckFailure as exc:
-        print(f"kdmc: check failed: {exc}", file=sys.stderr)
-        return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - distinct runtime exit code is contractual
         print(f"kdmc: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -102,7 +96,7 @@ def main(argv=None):
     print(f"kdmc: wrote {out_path} ({len(result.rows)} rows)")
     if result.ok is False:
         print(f"kdmc: check failed: {result.message}", file=sys.stderr)
-        return CheckFailure.exit_code
+        return EXIT_CHECK
     if result.ok:
         print(f"kdmc: {result.message}")
     return 0

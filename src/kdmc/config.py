@@ -9,13 +9,15 @@ exit code for the CLI.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .core import step_count
 
 __all__ = [
     "ConfigError",
@@ -23,7 +25,6 @@ __all__ = [
     "MissingFieldError",
     "UnknownKeyError",
     "UnwritablePathError",
-    "CheckFailure",
     "EXPERIMENTS",
     "ExperimentConfig",
     "config_from_dict",
@@ -52,38 +53,33 @@ class UnwritablePathError(ConfigError):
     exit_code = 5
 
 
-class CheckFailure(Exception):
-    """A self-verifying experiment found a violated tolerance."""
-
-    exit_code = 7
-
-
-EXPERIMENTS = (
-    "single-step-low",
-    "single-step-high",
-    "histogram",
-    "speedup",
-    "moments-check",
-    "constants-check",
-)
-
-_LOG_DT_GRID = [0.01, 0.0178, 0.0316, 0.0562, 0.1, 0.178, 0.316, 0.562, 1.0]
-_COLLISIONALITY_GRID = [2.5, 4.0, 6.3, 10.0, 15.8, 25.0, 63.0, 158.0, 398.0, 1000.0]
-_SPEEDUP_GRID = [0.01, 1.0, 10.0, 100.0, 1000.0]
-
-_DEFAULT_PARTICLES = {
-    "single-step-low": 200_000,
-    "single-step-high": 400_000,
-    "histogram": 100_000,
-    "speedup": 50_000,
-    "moments-check": 1_000_000,
-    "constants-check": 0,
+# each experiment's swept grid field (None if it sweeps none) and its
+# defaults over those of ExperimentConfig
+_EXPERIMENTS = {
+    "single-step-low": ("dt_grid", {
+        "particles": 200_000,
+        "u": 1.0,
+        "dt_grid": (0.01, 0.0178, 0.0316, 0.0562, 0.1, 0.178, 0.316, 0.562, 1.0),
+    }),
+    "single-step-high": ("collisionality_grid", {
+        "particles": 400_000,
+        "collisionality_grid": (2.5, 4.0, 6.3, 10.0, 15.8, 25.0, 63.0, 158.0, 398.0, 1000.0),
+    }),
+    "histogram": ("eps_list", {"particles": 100_000}),
+    "speedup": ("collisionality_grid", {
+        "particles": 50_000,
+        "collisionality_grid": (0.01, 1.0, 10.0, 100.0, 1000.0),
+    }),
+    "moments-check": (None, {"particles": 1_000_000}),
+    "constants-check": (None, {"particles": 0}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run; its annotations are
+    the config schema (`X | None` is nullable, `tuple` a list of numbers)."""
 
     experiment: str
     seed: int
@@ -110,90 +106,42 @@ class ExperimentConfig:
     timing_reps: int = 5
     quadrature_points: int = 4096
 
-    def to_dict(self):
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-_FIELD_TYPES = {
-    "experiment": str,
-    "seed": int,
-    "particles": int,
-    "out": str,
-    "threads": int,
-    "sigma": float,
-    "u": float,
-    "temperature": float,
-    "eps": float,
-    "dt": float,
-    "t_end": float,
-    "dt_grid": list,
-    "collisionality_grid": list,
-    "eps_list": list,
-    "v0": float,
-    "v_final_std": float,
-    "velocity_bins": int,
-    "bootstrap_reps": int,
-    "histogram_lo": float,
-    "histogram_hi": float,
-    "histogram_bins": int,
-    "measure_time": bool,
-    "timing_reps": int,
-    "quadrature_points": int,
-}
-
-_NULLABLE = {"out", "v_final_std"}
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 def _coerce(key, value):
-    want = _FIELD_TYPES[key]
+    hint = _HINTS[key]
+    # `X | None` is a nullable X: its args are X and NoneType
+    args = typing.get_args(hint)
     if value is None:
-        if key in _NULLABLE:
+        if type(None) in args:
             return None
         raise MalformedConfigError(f"field '{key}' must not be null")
-    if want is bool:
-        if not isinstance(value, bool):
-            raise MalformedConfigError(f"field '{key}' must be a boolean, got {value!r}")
-        return value
-    if want is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MalformedConfigError(f"field '{key}' must be an integer, got {value!r}")
-        return value
+    want = args[0] if args else hint
+    if want is tuple:
+        if not isinstance(value, list):
+            raise MalformedConfigError(f"field '{key}' must be a list, got {value!r}")
+        return tuple(_scalar(key, float, item) for item in value)
+    return _scalar(key, want, value)
+
+
+def _scalar(key, want, value):
+    # JSON true and false are bools, a subclass of int: an int or a float
+    # field takes no bool, and a float field takes an int
+    if not isinstance(value, (int, float) if want is float else want) or (
+        isinstance(value, bool) and want is not bool
+    ):
+        raise MalformedConfigError(f"field '{key}' must be {_KINDS[want]}, got {value!r}")
     if want is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedConfigError(f"field '{key}' must be a number, got {value!r}")
         if not math.isfinite(value):
             raise MalformedConfigError(f"field '{key}' must be finite, got {value!r}")
         return float(value)
-    if want is str:
-        if not isinstance(value, str):
-            raise MalformedConfigError(f"field '{key}' must be a string, got {value!r}")
-        return value
-    if want is list:
-        if not isinstance(value, list):
-            raise MalformedConfigError(f"field '{key}' must be a list, got {value!r}")
-        items = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise MalformedConfigError(f"field '{key}' must hold numbers, got {item!r}")
-            items.append(float(item))
-        return tuple(items)
-    raise AssertionError(key)
+    return value
 
 
 def _validate(cfg):
-    if cfg.experiment not in EXPERIMENTS:
-        raise MalformedConfigError(
-            f"unknown experiment '{cfg.experiment}'; choose one of {', '.join(EXPERIMENTS)}"
-        )
     if not 0 <= cfg.seed < 2**64:
         # the seed keys a uint64 hash; anything else fails only mid-run
         raise MalformedConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
@@ -210,21 +158,14 @@ def _validate(cfg):
             raise MalformedConfigError(f"{name} entries must be positive")
         if list(grid) != sorted(grid):
             raise MalformedConfigError(f"{name} must be sorted ascending")
-    needs = {
-        "single-step-low": "dt_grid",
-        "single-step-high": "collisionality_grid",
-        "speedup": "collisionality_grid",
-        "histogram": "eps_list",
-    }
-    grid_field = needs.get(cfg.experiment)
+    grid_field = _EXPERIMENTS[cfg.experiment][0]
     if grid_field and not getattr(cfg, grid_field):
         raise MalformedConfigError(f"{cfg.experiment} needs a nonempty {grid_field}")
     if cfg.experiment in ("histogram", "speedup"):
-        n = round(cfg.t_end / cfg.dt)
-        if n < 1 or abs(n * cfg.dt - cfg.t_end) > 1e-9 * max(cfg.t_end, cfg.dt):
-            raise MalformedConfigError(
-                f"t_end {cfg.t_end} is not a positive multiple of dt {cfg.dt}"
-            )
+        try:
+            step_count(cfg.t_end, cfg.dt)
+        except ValueError as exc:
+            raise MalformedConfigError(str(exc)) from exc
     if cfg.velocity_bins < 1 or cfg.bootstrap_reps < 1 or cfg.timing_reps < 1:
         raise MalformedConfigError("bin and repetition counts must be >= 1")
     if cfg.histogram_hi <= cfg.histogram_lo or cfg.histogram_bins < 1:
@@ -238,24 +179,19 @@ def config_from_dict(doc):
     """Validate a raw mapping into an ExperimentConfig."""
     if not isinstance(doc, dict):
         raise MalformedConfigError("config document must be a JSON object")
-    unknown = sorted(set(doc) - set(_FIELD_TYPES))
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise UnknownKeyError(f"unknown config keys: {', '.join(unknown)}")
     for required in ("experiment", "seed"):
         if required not in doc or doc[required] is None:
             raise MissingFieldError(f"config is missing required field '{required}'")
     values = {key: _coerce(key, value) for key, value in doc.items()}
-    experiment = values["experiment"]
-    if experiment in _DEFAULT_PARTICLES:
-        values.setdefault("particles", _DEFAULT_PARTICLES[experiment])
-    if experiment == "single-step-low":
-        values.setdefault("dt_grid", tuple(_LOG_DT_GRID))
-        values.setdefault("u", 1.0)
-    elif experiment == "single-step-high":
-        values.setdefault("collisionality_grid", tuple(_COLLISIONALITY_GRID))
-    elif experiment == "speedup":
-        values.setdefault("collisionality_grid", tuple(_SPEEDUP_GRID))
-    return _validate(ExperimentConfig(**values))
+    if values["experiment"] not in _EXPERIMENTS:
+        raise MalformedConfigError(
+            f"unknown experiment '{values['experiment']}'; choose one of {', '.join(EXPERIMENTS)}"
+        )
+    defaults = _EXPERIMENTS[values["experiment"]][1]
+    return _validate(ExperimentConfig(**{**defaults, **values}))
 
 
 def format_csv_value(value):

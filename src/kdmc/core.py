@@ -4,8 +4,8 @@ Velocities are stored in scaled form: a particle with velocity sample v
 moves at physical speed v / eps. Post-collisional velocities follow a
 Maxwellian with mean eps * u and variance T.
 
-Every draw is a pure hash of (stream key, counter): `raw64_keyed`,
-`normal_keyed` and `exponential_keyed` on the keys from `stream_keys`.
+Every draw is a pure hash of (stream key, counter): `normal_keyed` and
+`exponential_keyed` on the keys from `stream_keys`.
 `normal_from_counter` and `uniform_open_closed`, which take (seed, stream),
 are compositions of them kept for the benchmark tracer, which wraps them.
 """
@@ -13,6 +13,7 @@ are compositions of them kept for the benchmark tracer, which wraps them.
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,15 +25,14 @@ __all__ = [
     "ParticleState",
     "PiecewiseConstantField",
     "RngStream",
-    "raw64_keyed",
     "stream_keys",
     "uniform_open_closed",
     "normal_from_counter",
     "normal_keyed",
     "exponential_keyed",
     "sample_maxwellian",
-    "standard_exponential",
     "stream_inputs",
+    "step_count",
     "whole_steps",
     "lockstep",
     "map_chunked",
@@ -73,7 +73,8 @@ def stream_keys(seed, stream):
 
 
 def _hash_keyed(keys, counter):
-    """raw64_keyed(keys, counter) and a spare buffer of the same size.
+    """64 random bits of (stream key, counter) and a spare buffer of the
+    same size.
 
     The hash runs in place in two fresh uint64 buffers, so neither argument
     is written; the keyed draws finish their float work in the spare one.
@@ -99,11 +100,6 @@ def _hash_keyed(keys, counter):
 
 def _scalar_if(out, keys, counter):
     return out[0] if np.ndim(keys) == 0 and np.ndim(counter) == 0 else out
-
-
-def raw64_keyed(keys, counter):
-    """64 random bits as a pure function of (stream key, counter)."""
-    return _scalar_if(_hash_keyed(keys, counter)[0], keys, counter)
 
 
 def _keyed_uniform(keys, counter, offset):
@@ -164,10 +160,6 @@ class RngStream:
         if size is None:
             return c
         return np.arange(size, dtype=np.uint64) + np.uint64(c)
-
-    def uniform_open_closed(self, size=None):
-        ctr = self._next_counters(size)
-        return _scalar_if(_keyed_uniform(self._keys, ctr, 1.0), self._keys, ctr)
 
     def normal(self, size=None):
         return normal_keyed(self._keys, self._next_counters(size))
@@ -261,11 +253,6 @@ def sample_maxwellian(params, rng):
     return params.eps * params.u + np.sqrt(params.temperature) * rng.normal()
 
 
-def standard_exponential(rng):
-    """Draw a unit-exponential flight budget; strictly finite."""
-    return -np.log(rng.uniform_open_closed())
-
-
 def stream_inputs(n, stream_lo, ctr0):
     """Stream ids stream_lo + i and starting counters of n particles.
 
@@ -279,10 +266,22 @@ def stream_inputs(n, stream_lo, ctr0):
     return streams, np.full(n, ctr0, dtype=np.uint64) if ctr0.shape == () else ctr0
 
 
+def step_count(span, dt):
+    """The number n of steps dt in span; raises ValueError unless span is
+    a positive whole multiple of dt, to a relative 1e-9."""
+    if not (dt >= 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    # no span is a multiple of dt = 0
+    n = round(span / dt) if dt and math.isfinite(span) else 0
+    if n < 1 or abs(n * dt - span) > 1e-9 * max(abs(span), dt):
+        raise ValueError(f"t_end - t = {span} is not a positive multiple of dt = {dt}")
+    return n
+
+
 def whole_steps(dt, n_steps):
     """Check the step grid of a stepping ensemble; returns n_steps as int."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_steps < 1 or int(n_steps) != n_steps:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
     return int(n_steps)
@@ -358,7 +357,4 @@ def map_chunked(fn, n, threads=1, chunk=1 << 16):
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda b: fn(*b), bounds))
-    first = parts[0]
-    if not isinstance(first, tuple):
-        return np.concatenate(parts)
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(first)))
+    return tuple(np.concatenate(column) for column in zip(*parts))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .config import emit_csv
-from .core import BackgroundParams, normal_from_counter, uniform_open_closed
+from .core import BackgroundParams, normal_from_counter, step_count, uniform_open_closed
 from .kd import kd_ensemble, random_walk_ensemble
 from .kinetic import kinetic_ensemble
 from .metrics import HistogramSpec, w1_sorted
@@ -257,7 +257,7 @@ def run_histogram(config):
         "w1_kd_rw",
         "pooled_std",
     )
-    n_steps = round(config.t_end / config.dt)
+    n_steps = step_count(config.t_end, config.dt)
     for i, eps in enumerate(config.eps_list):
         params = BackgroundParams(config.sigma, config.u, config.temperature, eps)
         lo = i * _POINT_STRIDE
@@ -306,7 +306,7 @@ def run_speedup(config):
     rows = []
     n = config.particles
     dt = config.dt
-    n_steps = round(config.t_end / config.dt)
+    n_steps = step_count(config.t_end, dt)
     header = ["collisionality", "eps", "kinetic_collisions", "kd_collisions",
               "measured_ratio", "analytic_ratio"]
     if config.measure_time:

@@ -29,7 +29,7 @@ from .core import (
     normal_from_counter,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.normal_from_counter
     normal_keyed,
     sample_maxwellian,
-    standard_exponential,
+    step_count,
     stream_inputs,
     stream_keys,
     whole_steps,
@@ -58,14 +58,9 @@ class KdStepRecord:
 
 
 def _step_count(state_t, dt, t_end):
-    span = t_end - state_t
-    if span < 0:
+    if t_end < state_t:
         raise ValueError(f"t_end {t_end} precedes current time {state_t}")
-    # no span is a multiple of dt = 0; whole_steps rejects a negative dt
-    n = round(span / dt) if dt else 0
-    if n == 0 or abs(n * dt - span) > 1e-9 * max(abs(span), dt):
-        raise ValueError(f"t_end - t = {span} is not a positive multiple of dt = {dt}")
-    return whole_steps(dt, n)
+    return step_count(t_end - state_t, dt)
 
 
 def diffusive_substep(v_next, theta, params, rng):
@@ -100,7 +95,7 @@ def simulate_kd(state, dt, t_end, field, rng):
     while n < n_steps:
         params = field.params_at(x)
         rem = (n_steps - n) * dt
-        dtau = standard_exponential(rng) * (params.eps * params.eps / params.sigma)
+        dtau = rng.exponential() * (params.eps * params.eps / params.sigma)
         if dtau >= rem:
             x = x + (v / params.eps) * rem
             kinetic_time += rem
@@ -146,8 +141,6 @@ class KdEnsemble:
     x: np.ndarray
     v: np.ndarray
     collisions: np.ndarray
-    diffusive_time: np.ndarray
-    kinetic_time: np.ndarray
     loop_seconds: float = 0.0
 
     @property
@@ -191,8 +184,6 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
     out_x = np.empty(n)
     out_v = np.empty(n)
     out_coll = np.zeros(n, dtype=np.int64)
-    out_diff = np.zeros(n)
-    out_kin = np.full(n, n_steps * dt)
 
     def finish(fin, slots, rnd, tail):
         x, v = live["x"][fin], live["v"][fin]
@@ -200,9 +191,6 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
         out_v[slots] = v
         if rnd:
             out_coll[slots] = rnd
-            out_diff[slots] = live["diff"][fin]
-            kin = live["kin"][fin]
-            out_kin[slots] = kin if tail is None else kin + tail
 
     # the round's temporaries stay bound until the next round replaces them:
     # released together at return, they let malloc trim the heap top, and
@@ -225,19 +213,12 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
         var *= z
         var += mean
         live["x"] += var
-        if "kin" in live:
-            live["kin"] += dtau
-            live["diff"] += theta
-        else:
-            # the scalar stepper's sums start from 0.0
-            live["kin"] = 0.0 + dtau
-            live["diff"] = 0.0 + theta
         np.multiply(live["left"], dt, out=live["rem"])
         # the scalar loop draws nothing further after the last step either
         return live["left"] == 0
 
     elapsed = lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
-    return out_x, out_v, out_coll, out_diff, out_kin, np.array([elapsed])
+    return out_x, out_v, out_coll, np.array([elapsed])
 
 
 def kd_ensemble(
@@ -272,8 +253,8 @@ def kd_ensemble(
             params, x0[lo:hi], v0[lo:hi], dt, n_steps, seed, streams[lo:hi], ctr0[lo:hi]
         )
 
-    x, v, coll, diff, kin, loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
-    return KdEnsemble(x, v, coll, diff, kin, float(loop_t.sum()))
+    x, v, coll, loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
+    return KdEnsemble(x, v, coll, float(loop_t.sum()))
 
 
 def random_walk_ensemble(

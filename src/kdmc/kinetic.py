@@ -20,7 +20,6 @@ from .core import (
     map_chunked,
     normal_keyed,
     sample_maxwellian,
-    standard_exponential,
     stream_inputs,
     stream_keys,
 )
@@ -57,7 +56,7 @@ def sample_collision_time(state, field, rng):
     rate, walking cells in the flight direction until the exponential
     budget is spent. Always finite and positive because lookups clamp.
     """
-    budget = standard_exponential(rng)
+    budget = rng.exponential()
     if isinstance(field, BackgroundParams):
         return _flight_time(budget, field)
     cells, breaks = field.cells, field.breakpoints
@@ -210,6 +209,8 @@ def kinetic_ensemble(
     overlaps with the interval (both equal to `duration` when no collision
     occurs).
     """
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {duration}")
     x0 = np.asarray(x0, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.float64)
     n = x0.shape[0]

@@ -97,8 +97,8 @@ def conditioned_increment_ensemble(
         v_final = np.full(n, float(v_final))
     if v_final.shape[0] != n:
         raise ValueError("durations and v_final must have equal length")
-    if np.any(durations < 0):
-        raise ValueError("durations must be nonnegative")
+    if not np.isfinite(durations).all() or (durations < 0).any():
+        raise ValueError("durations must be finite and nonnegative")
     streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
 
     def run(lo, hi):

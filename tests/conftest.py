@@ -5,13 +5,13 @@ import pytest
 class StubRng:
     """Duck-typed stand-in for RngStream with pinned draws."""
 
-    def __init__(self, uniforms=(), normals=()):
-        self.uniforms = list(uniforms)
+    def __init__(self, exponentials=(), normals=()):
+        self.exponentials = list(exponentials)
         self.normals = list(normals)
 
-    def uniform_open_closed(self, size=None):
+    def exponential(self, size=None):
         assert size is None
-        return self.uniforms.pop(0)
+        return self.exponentials.pop(0)
 
     def normal(self, size=None):
         assert size is None

@@ -112,10 +112,15 @@ class TestCriterion3LowCollisional:
         assert elapsed < 600.0
 
 
-def _high_sweep(seed=1, particles=400_000):
-    cfg = config_from_dict({"experiment": "single-step-high", "seed": seed,
-                            "particles": particles})
-    return run_experiment(cfg)
+@pytest.fixture(scope="module")
+def high_sweep():
+    """The 400k-particle sweep both criterion-4 tests read, run once:
+    (result, its wall seconds), which each test adds to its own time."""
+    t0 = time.perf_counter()
+    cfg = config_from_dict({"experiment": "single-step-high", "seed": 1,
+                            "particles": 400_000})
+    res = run_experiment(cfg)
+    return res, time.perf_counter() - t0
 
 
 class TestCriterion4HighCollisional:
@@ -126,10 +131,10 @@ class TestCriterion4HighCollisional:
         "at the same tolerances",
         strict=False,
     )
-    def test_high_collisional_bound_as_stated(self):
+    def test_high_collisional_bound_as_stated(self, high_sweep):
         t0 = time.perf_counter()
-        res = _high_sweep()
-        elapsed = time.perf_counter() - t0
+        res, sweep_s = high_sweep
+        elapsed = sweep_s + time.perf_counter() - t0
         gated = [(coll, eps, w1, bound) for coll, eps, w1, bound, floor in res.rows
                  if w1 > 3 * floor]
         bound_ok = all(w1 <= bound for _, _, w1, bound in gated)
@@ -146,11 +151,11 @@ class TestCriterion4HighCollisional:
         assert bound_ok, "measured W1 exceeds the stated eps^3 bound at supra-floor points"
         assert slope_ok, f"order in eps {slope} outside 3.0 +- 0.3"
 
-    def test_high_collisional_quadratic_companion(self):
+    def test_high_collisional_quadratic_companion(self, high_sweep):
         # verified physics at the same tolerances: the error obeys
         # 0.58 sqrt(T) eps^2 / sqrt(sigma^3 dt) and decays quadratically
         t0 = time.perf_counter()
-        res = _high_sweep()
+        res, sweep_s = high_sweep
         quad_viol = 0
         for coll, eps, w1, bound, floor in res.rows:
             if w1 > 3 * floor:
@@ -168,7 +173,7 @@ class TestCriterion4HighCollisional:
         corrected = [r[2] - r[4] for r in flank.rows]
         supra = all(r[2] > 3 * r[4] for r in flank.rows)
         slope = fit_order(eps_f, corrected)
-        elapsed = time.perf_counter() - t0
+        elapsed = sweep_s + time.perf_counter() - t0
         slope_ok = 1.6 <= slope <= 2.4
         ok = quad_viol == 0 and supra and slope_ok and elapsed < 900.0
         report(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -8,14 +10,13 @@ from kdmc import (
     PiecewiseConstantField,
     RngStream,
     sample_maxwellian,
-    standard_exponential,
 )
 from kdmc.core import (
     exponential_keyed,
     map_chunked,
     normal_from_counter,
     normal_keyed,
-    raw64_keyed,
+    step_count,
     stream_keys,
     uniform_open_closed,
 )
@@ -127,25 +128,29 @@ class TestRngStream:
     def test_draws_are_pure_functions_of_counter(self):
         # jumping the counter reproduces the tail of the sequence exactly
         a = RngStream(9, 3)
-        seq = a.uniform_open_closed(size=50)
+        seq = a.exponential(size=50)
         b = RngStream(9, 3, counter=20)
-        assert np.array_equal(seq[20:], b.uniform_open_closed(size=30))
+        assert np.array_equal(seq[20:], b.exponential(size=30))
 
     def test_distinct_streams_differ(self):
-        a = RngStream(1, 0).uniform_open_closed(size=64)
-        b = RngStream(1, 1).uniform_open_closed(size=64)
+        a = RngStream(1, 0).exponential(size=64)
+        b = RngStream(1, 1).exponential(size=64)
         assert not np.array_equal(a, b)
         # and are uncorrelated to MC accuracy
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.5
 
     def test_keyed_matches_unkeyed(self):
-        streams = np.arange(100, dtype=np.uint64)
-        ctr = np.resize(np.array(EDGE_COUNTERS + [17], dtype=np.uint64), 100)
-        keys = stream_keys(321, streams)
-        assert np.array_equal(raw64_keyed(keys, ctr), reference_bits(321, streams, ctr))
+        # a stream's scalar draws are the keyed draws at its (seed, stream)
+        for stream, ctr in enumerate(EDGE_COUNTERS + [17]):
+            rng = RngStream(321, stream, counter=ctr)
+            for draw, (offset, inverse_cdf) in (("exponential", REFERENCE[exponential_keyed]),
+                                                ("normal", REFERENCE[normal_keyed])):
+                want = inverse_cdf(reference_uniforms(321, stream, np.uint64(ctr), offset))
+                assert getattr(rng, draw)() == want[0]
+                ctr = (ctr + 1) % 2**64
 
     def test_uniform_open_closed_excludes_zero(self):
-        u = RngStream(2, 0).uniform_open_closed(size=200_000)
+        u = uniform_open_closed(2, 0, np.arange(200_000, dtype=np.uint64))
         assert u.min() > 0.0
         assert u.max() <= 1.0
 
@@ -222,7 +227,10 @@ class TestSampling:
         assert abs(exkurt) < 5 * np.sqrt(24.0 / n)
 
     def test_exponential_inverse_cdf(self):
-        assert standard_exponential(StubRng(uniforms=[np.exp(-2.0)])) == pytest.approx(2.0)
+        # a flight budget is -ln(u) of the (0, 1] uniform at the same counter
+        u = uniform_open_closed(4, 2, np.arange(3, dtype=np.uint64))
+        rng = RngStream(4, 2)
+        assert [rng.exponential() for _ in range(3)] == list(-np.log(u))
 
     def test_exponential_moments(self):
         e = RngStream(3, 0).exponential(size=1_000_000)
@@ -243,3 +251,18 @@ class TestChunking:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             map_chunked(lambda lo, hi: (np.zeros(hi - lo),), 0)
+
+
+class TestStepGrid:
+    @pytest.mark.parametrize("span,dt,n", [(2.0, 0.5, 4), (0.3, 0.1, 3), (1.0, 1.0, 1)])
+    def test_counts_whole_multiples(self, span, dt, n):
+        assert step_count(span, dt) == n
+
+    @pytest.mark.parametrize(
+        "span,dt",
+        [(1.5, 1.0), (0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -0.5),
+         (1.0, math.inf), (1.0, math.nan), (math.inf, 1.0), (math.nan, 1.0)],
+    )
+    def test_rejects_other_spans(self, span, dt):
+        with pytest.raises(ValueError):
+            step_count(span, dt)

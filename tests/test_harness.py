@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,11 @@ import pytest
 
 from kdmc import BackgroundParams
 from kdmc import config as config_module
+from kdmc import experiments as experiments_module
+from kdmc import oracles as oracles_module
 from kdmc.config import (
+    EXPERIMENTS,
+    ExperimentConfig,
     MalformedConfigError,
     MissingFieldError,
     UnknownKeyError,
@@ -29,10 +34,10 @@ class TestConfig:
         cfg = config_from_dict({"experiment": "histogram", "seed": 1})
         assert cfg.particles == 100_000
         assert cfg.eps_list == (0.1, 1.0, 10.0)
-        again = config_from_dict(json.loads(cfg.to_json()))
-        assert again == cfg
+        text = json.dumps(dataclasses.asdict(cfg))
+        assert config_from_dict(json.loads(text)) == cfg
         path = tmp_path / "h.json"
-        path.write_text(cfg.to_json())
+        path.write_text(text)
         args = cli.build_parser().parse_args(["histogram", "--config", str(path)])
         assert config_from_dict(cli._load_document(args)) == cfg
 
@@ -92,6 +97,25 @@ class TestConfig:
         assert high.u == 0.0 and high.particles == 400_000
         speedup = config_from_dict({"experiment": "speedup", "seed": 2})
         assert speedup.collisionality_grid == (0.01, 1.0, 10.0, 100.0, 1000.0)
+
+    def test_every_experiment_has_a_runner(self):
+        assert set(experiments_module._RUNNERS) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_every_field_type_checked(self, field):
+        # a field takes JSON values of its own kind only (a float field takes
+        # an integer too), and null only if it defaults to None; a null
+        # experiment or seed counts as missing (exit 3)
+        kind = {"experiment": str, "seed": int, "out": str, "v_final_std": float}.get(
+            field.name, type(field.default))
+        samples = {str: "x", int: 3, float: 2.5, bool: True, tuple: [1.0], dict: {"x": 1}}
+        wrong = [v for k, v in samples.items() if k is not kind and (k, kind) != (int, float)]
+        if field.default is not None and field.name not in ("experiment", "seed"):
+            wrong.append(None)
+        for value in wrong:
+            with pytest.raises(MalformedConfigError) as err:
+                config_from_dict({"experiment": "histogram", "seed": 1, field.name: value})
+            assert err.value.exit_code == 2, value
 
     def test_malformed_json_file(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -165,6 +189,16 @@ class TestOracle:
         assert abs(res.mean - mean_conditioned(p, 1.0, 1.0)) <= 4 * res.se_mean
         assert abs(res.variance - var_conditioned(p, 1.0, 1.0)) <= 4 * res.se_variance
 
+    @pytest.mark.parametrize("durations", [math.nan, math.inf, -0.5, [1.0, math.nan, 0.5]])
+    def test_rejects_bad_durations(self, monkeypatch, durations):
+        def no_lockstep(*args):
+            raise AssertionError("the oracle started before its durations were checked")
+
+        monkeypatch.setattr(oracles_module, "lockstep", no_lockstep)
+        p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="durations must be finite"):
+            conditioned_increment_ensemble(p, durations, 0.5, n=3, seed=1)
+
     def test_chunking_and_threads_bit_identical(self):
         p = BackgroundParams(1.0, 0.3, 1.0, 0.5)
         n = 3000
@@ -208,7 +242,7 @@ class TestDeterminism:
         res2 = run_experiment(cfg1)
         res2.write(cfg1.out)
         assert open(cfg1.out, "rb").read() == first
-        threaded = config_from_dict({**cfg1.to_dict(), "threads": 3})
+        threaded = dataclasses.replace(cfg1, threads=3)
         res3 = run_experiment(threaded)
         res3.write(cfg1.out)
         assert open(cfg1.out, "rb").read() == first

@@ -16,6 +16,7 @@ from kdmc import (
     simulate_kinetic,
     var_unconditioned,
 )
+from kdmc import kinetic as kinetic_module
 from kdmc.kinetic import kinetic_ensemble
 from conftest import StubRng, moment_check
 
@@ -27,11 +28,22 @@ def two_cell_field(s1=1.0, s2=2.0, at=1.0, eps=1.0, u=0.0, temp=1.0):
     )
 
 
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -0.5])
+def test_ensemble_rejects_bad_duration(monkeypatch, duration):
+    def no_lockstep(*args):
+        raise AssertionError("the ensemble started before its duration was checked")
+
+    monkeypatch.setattr(kinetic_module, "lockstep", no_lockstep)
+    with pytest.raises(ValueError, match="duration must be finite"):
+        kinetic_ensemble(BackgroundParams(1.0, 0.0, 1.0, 1.0), np.zeros(3), np.ones(3),
+                         duration, seed=1)
+
+
 class TestCollisionTime:
     def test_homogeneous_inverse(self):
         # constant-rate integral inverts to (eps^2/sigma) * E
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-        rng = StubRng(uniforms=[0.5])  # E = ln 2
+        rng = StubRng(exponentials=[math.log(2.0)])
         dtau = sample_collision_time(ParticleState(0.0, 1.0, 0.0), p, rng)
         assert dtau == pytest.approx(math.log(2.0))
 
@@ -50,7 +62,7 @@ class TestCollisionTime:
         # rate 1 for one unit of travel time, then rate 2: budget 2 spends
         # 1 in the first cell and 0.5 in the second
         field = two_cell_field()
-        rng = StubRng(uniforms=[math.exp(-2.0)])  # E = 2
+        rng = StubRng(exponentials=[2.0])
         state = ParticleState(0.0, 1.0, 0.0)  # speed 1 hits the boundary at t=1
         assert sample_collision_time(state, field, rng) == pytest.approx(1.5)
 
@@ -88,7 +100,7 @@ class TestCollisionTime:
             return val
 
         got = sample_collision_time(
-            ParticleState(x0, v, 0.0), field, StubRng(uniforms=[math.exp(-budget)])
+            ParticleState(x0, v, 0.0), field, StubRng(exponentials=[budget])
         )
         hi = 1.0
         while cumulative(hi) < budget:
@@ -99,7 +111,7 @@ class TestCollisionTime:
     def test_zero_velocity_stays_in_cell(self):
         field = two_cell_field()
         got = sample_collision_time(
-            ParticleState(0.0, 0.0, 0.0), field, StubRng(uniforms=[math.exp(-3.0)])
+            ParticleState(0.0, 0.0, 0.0), field, StubRng(exponentials=[3.0])
         )
         assert got == pytest.approx(3.0)
 
@@ -107,7 +119,7 @@ class TestCollisionTime:
         # beyond the last breakpoint the edge rate applies forever
         field = two_cell_field(s1=1.0, s2=2.0, at=1.0)
         got = sample_collision_time(
-            ParticleState(5.0, 1.0, 0.0), field, StubRng(uniforms=[math.exp(-4.0)])
+            ParticleState(5.0, 1.0, 0.0), field, StubRng(exponentials=[4.0])
         )
         assert got == pytest.approx(2.0)
 
@@ -115,7 +127,7 @@ class TestCollisionTime:
 class TestSimulateKinetic:
     def test_no_collision_branch(self):
         p = BackgroundParams(1.0, 0.0, 1.0, 2.0)
-        rng = StubRng(uniforms=[math.exp(-100.0)])  # flight time 400 >> 1
+        rng = StubRng(exponentials=[100.0])  # flight time 400 >> 1
         rec = simulate_kinetic(ParticleState(1.0, 3.0, 0.0), 1.0, p, rng)
         assert rec.final_state.x == pytest.approx(1.0 + (3.0 / 2.0) * 1.0)
         assert rec.final_state.v == 3.0
