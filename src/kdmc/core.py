@@ -32,6 +32,7 @@ __all__ = [
     "exponential_keyed",
     "sample_maxwellian",
     "stream_inputs",
+    "finite",
     "step_count",
     "whole_steps",
     "lockstep",
@@ -257,13 +258,25 @@ def stream_inputs(n, stream_lo, ctr0):
     """Stream ids stream_lo + i and starting counters of n particles.
 
     ctr0 is None (every particle starts at counter 0), one counter for all,
-    or one counter per particle.
+    or one counter per particle; any other shape raises ValueError.
     """
     streams = np.arange(stream_lo, stream_lo + n, dtype=np.uint64)
     if ctr0 is None:
         return streams, np.zeros(n, dtype=np.uint64)
     ctr0 = np.asarray(ctr0, dtype=np.uint64)
+    if ctr0.shape not in ((), (n,)):
+        raise ValueError(
+            f"ctr0 must be one counter or one per particle ({n}), got shape {ctr0.shape}"
+        )
     return streams, np.full(n, ctr0, dtype=np.uint64) if ctr0.shape == () else ctr0
+
+
+def finite(name, values):
+    """values as a float64 array; raises ValueError if any is NaN or infinite."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 def step_count(span, dt):
@@ -295,12 +308,14 @@ def lockstep(live, scale, finish, collide):
     running; it holds at least "keys" (stream keys), "ctr" (next counters)
     and "rem" (time left). In round r every live particle draws its flight
     dtau = scale * Exp(1) at its next counter. A particle whose flight
-    reaches its remaining time finishes with r collisions:
-    finish(fin, slots, r, tail) gets its live positions, its output slots
-    and tail = rem[fin], the length of its last flight. The others collide:
-    collide(dtau) moves them and draws what the driver needs. It may return
-    a mask of particles that are done at that collision; they get
-    finish(fin, slots, r + 1, None).
+    reaches its remaining time finishes with r collisions. The driver
+    presets every output to the result without collisions, so a particle
+    that finishes in round 0 costs only its flight draw and keeps those
+    presets. From round 1 on, finish(fin, slots, r, tail) gets a finishing
+    particle's live positions, its output slots and tail = rem[fin], the
+    length of its last flight. The others collide: collide(dtau) moves them
+    and draws what the driver needs. It may return a mask of particles that
+    are done at that collision; they get finish(fin, slots, r + 1, None).
 
     The arrays in `live` are gathered down only in rounds where some
     particle finishes, one reassignment per array, so each old array is
@@ -316,8 +331,9 @@ def lockstep(live, scale, finish, collide):
         # finish the flagged particles and drop them; False once none is left
         nonlocal idx
         everyone = done.all()
-        fin = slice(None) if everyone else np.flatnonzero(done)
-        finish(fin, fin if idx is None else idx[fin], rnd, live["rem"][fin] if flew else None)
+        if rnd:
+            fin = slice(None) if everyone else np.flatnonzero(done)
+            finish(fin, fin if idx is None else idx[fin], rnd, live["rem"][fin] if flew else None)
         if everyone:
             return False
         keep = ~done
@@ -341,20 +357,21 @@ def lockstep(live, scale, finish, collide):
 
 
 def map_chunked(fn, n, threads=1, chunk=1 << 16):
-    """Run fn(lo, hi) -> tuple of arrays over fixed chunks of range(n).
+    """Run fn(lo, hi) over fixed chunks of range(n); returns the chunks'
+    return values in chunk order.
 
-    The chunk partition depends only on n and chunk, never on the thread
-    count, and results merge in chunk order, so output is deterministic at
-    any thread count.
+    fn writes its results in place, into the [lo:hi] slices of output
+    arrays the caller allocated once for all n, so no chunk result is
+    copied again. The chunk partition depends only on n and chunk, never on
+    the thread count, and chunks write disjoint slices, so output is
+    deterministic at any thread count.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if threads <= 1 or len(bounds) == 1:
-        parts = [fn(lo, hi) for lo, hi in bounds]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return [fn(lo, hi) for lo, hi in bounds]
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: fn(*b), bounds))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda b: fn(*b), bounds))

@@ -92,7 +92,7 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
                 f"{n} paths with a collision at dt={dt} need more than the "
                 f"{_POINT_STRIDE} candidate streams of one grid point"
             )
-        ids = stream_lo + np.arange(next_candidate, next_candidate + want, dtype=np.uint64)
+        first = stream_lo + next_candidate
         next_candidate += want
         ens = kinetic_ensemble(
             params,
@@ -100,13 +100,13 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
             np.full(want, v0),
             dt,
             seed,
-            stream_lo=int(ids[0]),
+            stream_lo=first,
             threads=threads,
         )
-        keep = ens.collisions >= 1
-        kept.append((ids[keep], ens.x[keep], ens.first_overlap[keep],
-                     ens.last_overlap[keep], ens.v[keep]))
-        got += int(keep.sum())
+        keep = np.flatnonzero(ens.collisions)
+        kept.append((np.uint64(first) + keep.astype(np.uint64), ens.x[keep],
+                     ens.first_overlap[keep], ens.last_overlap[keep], ens.v[keep]))
+        got += keep.size
     parts = [np.concatenate([k[i] for k in kept])[:n] for i in range(5)]
     return tuple(parts)
 

@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     ParticleState,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.exponential_keyed
+    finite,
     lockstep,
     map_chunked,
     normal_from_counter,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.normal_from_counter
@@ -168,8 +169,15 @@ def _collision_remainder(dtau, dt, left):
     return np.minimum(theta, dt, out=theta)
 
 
-def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
+def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
     n = x0.shape[0]
+    # out: this chunk's slices of the ensemble's x, v and collisions, preset
+    # to the results of a particle without collisions
+    out_x, out_v, out_coll = out
+    np.multiply(v0 / params.eps, n_steps * dt, out=out_x)
+    out_x += x0
+    out_v[:] = v0
+    out_coll[:] = 0
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
     live = {
@@ -180,17 +188,12 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
         "x": x0.copy(),
         "v": v0.copy(),
     }
-    # the initial values are the results of a particle without collisions
-    out_x = np.empty(n)
-    out_v = np.empty(n)
-    out_coll = np.zeros(n, dtype=np.int64)
 
     def finish(fin, slots, rnd, tail):
         x, v = live["x"][fin], live["v"][fin]
         out_x[slots] = x if tail is None else x + (v / params.eps) * tail
         out_v[slots] = v
-        if rnd:
-            out_coll[slots] = rnd
+        out_coll[slots] = rnd
 
     # the round's temporaries stay bound until the next round replaces them:
     # released together at return, they let malloc trim the heap top, and
@@ -217,8 +220,7 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0):
         # the scalar loop draws nothing further after the last step either
         return live["left"] == 0
 
-    elapsed = lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
-    return out_x, out_v, out_coll, np.array([elapsed])
+    return lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
 
 
 def kd_ensemble(
@@ -241,20 +243,20 @@ def kd_ensemble(
     kinetic_ensemble bit for bit.
     """
     n_steps = whole_steps(dt, n_steps)
-    x0 = np.asarray(x0, dtype=np.float64)
-    v0 = np.asarray(v0, dtype=np.float64)
+    x0 = finite("x0", x0)
+    v0 = finite("v0", v0)
     n = x0.shape[0]
     if v0.shape[0] != n:
         raise ValueError("x0 and v0 must have equal length")
     streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
+    out = (np.empty(n), np.empty(n), np.empty(n, dtype=np.int64))
 
     def run(lo, hi):
-        return _kd_chunk(
-            params, x0[lo:hi], v0[lo:hi], dt, n_steps, seed, streams[lo:hi], ctr0[lo:hi]
-        )
+        return _kd_chunk(params, x0[lo:hi], v0[lo:hi], dt, n_steps, seed, streams[lo:hi],
+                         ctr0[lo:hi], [a[lo:hi] for a in out])
 
-    x, v, coll, loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
-    return KdEnsemble(x, v, coll, float(loop_t.sum()))
+    loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
+    return KdEnsemble(*out, sum(loop_t))
 
 
 def random_walk_ensemble(
@@ -270,23 +272,22 @@ def random_walk_ensemble(
 ):
     """Advance n particles over n_steps random-walk steps; returns positions."""
     n_steps = whole_steps(dt, n_steps)
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = x0.shape[0]
+    x = finite("x0", x0).copy()
+    n = x.shape[0]
     streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
     drift = params.u * dt
     scale = math.sqrt(2.0 * (params.temperature / params.sigma) * dt)
 
     def run(lo, hi):
-        x = x0[lo:hi].copy()
+        xs = x[lo:hi]  # steps the output in place
         ctr = ctr0[lo:hi].copy()
         keys = stream_keys(seed, streams[lo:hi])
         for _ in range(n_steps):
             z = normal_keyed(keys, ctr)
             z *= scale
-            x += drift
-            x += z
+            xs += drift
+            xs += z
             ctr += np.uint64(1)
-        return (x,)
 
-    (x,) = map_chunked(run, n, threads=threads, chunk=chunk)
+    map_chunked(run, n, threads=threads, chunk=chunk)
     return x

@@ -16,6 +16,7 @@ from .core import (
     BackgroundParams,
     ParticleState,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.exponential_keyed
+    finite,
     lockstep,
     map_chunked,
     normal_keyed,
@@ -149,8 +150,17 @@ class KineticEnsemble:
         return int(self.collisions.sum())
 
 
-def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0):
+def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0, out):
     n = x0.shape[0]
+    # out: this chunk's slices of the ensemble's x, v, collisions, first and
+    # last overlap, preset to the results of a particle without collisions
+    out_x, out_v, out_coll, out_first, out_last = out
+    np.multiply(v0 / params.eps, duration, out=out_x)
+    out_x += x0
+    out_v[:] = v0
+    out_coll[:] = 0
+    out_first[:] = duration
+    out_last[:] = duration
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
     live = {
@@ -158,23 +168,16 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0):
         "ctr": ctr0.copy(),
         "rem": np.full(n, float(duration)),
         "x": x0.copy(),
-        "v": v0.copy(),
+        "v": v0,  # the caller's: collide replaces v, never writes it
     }
-    # the initial values are the results of a particle without collisions
-    out_x = np.empty(n)
-    out_v = np.empty(n)
-    out_coll = np.zeros(n, dtype=np.int64)
-    out_first = np.full(n, float(duration))
-    out_last = np.full(n, float(duration))
 
     def finish(fin, slots, rnd, tail):
         vf = live["v"][fin]
         out_x[slots] = live["x"][fin] + (vf / params.eps) * tail
         out_v[slots] = vf
-        if rnd:
-            out_coll[slots] = rnd
-            out_first[slots] = live["first"][fin]
-            out_last[slots] = tail
+        out_coll[slots] = rnd
+        out_first[slots] = live["first"][fin]
+        out_last[slots] = tail
 
     def collide(dtau):
         live.setdefault("first", dtau)  # the round-0 flight
@@ -186,8 +189,7 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0):
         live["v"] = v
         live["ctr"] += np.uint64(1)
 
-    elapsed = lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
-    return out_x, out_v, out_coll, out_first, out_last, np.array([elapsed])
+    return lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
 
 
 def kinetic_ensemble(
@@ -211,17 +213,17 @@ def kinetic_ensemble(
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    v0 = np.asarray(v0, dtype=np.float64)
+    x0 = finite("x0", x0)
+    v0 = finite("v0", v0)
     n = x0.shape[0]
     if v0.shape[0] != n:
         raise ValueError("x0 and v0 must have equal length")
     streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
+    out = (np.empty(n), np.empty(n), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n))
 
     def run(lo, hi):
-        return _kinetic_chunk(
-            params, x0[lo:hi], v0[lo:hi], duration, seed, streams[lo:hi], ctr0[lo:hi]
-        )
+        return _kinetic_chunk(params, x0[lo:hi], v0[lo:hi], duration, seed, streams[lo:hi],
+                              ctr0[lo:hi], [a[lo:hi] for a in out])
 
-    x, v, coll, first, last, loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
-    return KineticEnsemble(x, v, coll, first, last, float(loop_t.sum()))
+    loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
+    return KineticEnsemble(*out, sum(loop_t))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.exponential_keyed
+    finite,
     lockstep,
     map_chunked,
     normal_keyed,
@@ -40,7 +41,7 @@ class OracleMoments:
     n: int
 
 
-def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0):
+def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0, out):
     n = durations.shape[0]
     vel_mean = params.eps * params.u
     vel_sd = math.sqrt(params.temperature)
@@ -51,7 +52,9 @@ def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0):
         "x": np.zeros(n),
         "vf": v_final,
     }
-    out = np.empty(n)
+    # out, this chunk's slice of the increments, starts at the increment of
+    # a path without collisions
+    np.add(live["x"], (v_final / params.eps) * durations, out=out)
 
     def finish(fin, slots, rnd, tail):
         out[slots] = live["x"][fin] + (live["vf"][fin] / params.eps) * tail
@@ -67,7 +70,6 @@ def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0):
         live["rem"] -= dtau
 
     lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
-    return (out,)
 
 
 def conditioned_increment_ensemble(
@@ -87,7 +89,7 @@ def conditioned_increment_ensemble(
     step lengths are needed when conditioning on the remaining time).
     """
     durations = np.asarray(durations, dtype=np.float64)
-    v_final = np.asarray(v_final, dtype=np.float64)
+    v_final = finite("v_final", v_final)
     if durations.ndim == 0:
         if n is None:
             raise ValueError("scalar duration requires an explicit path count n")
@@ -100,13 +102,13 @@ def conditioned_increment_ensemble(
     if not np.isfinite(durations).all() or (durations < 0).any():
         raise ValueError("durations must be finite and nonnegative")
     streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
+    dx = np.empty(n)
 
     def run(lo, hi):
-        return _conditioned_chunk(
-            params, durations[lo:hi], v_final[lo:hi], seed, streams[lo:hi], ctr0[lo:hi]
-        )
+        _conditioned_chunk(params, durations[lo:hi], v_final[lo:hi], seed, streams[lo:hi],
+                           ctr0[lo:hi], dx[lo:hi])
 
-    (dx,) = map_chunked(run, n, threads=threads, chunk=chunk)
+    map_chunked(run, n, threads=threads, chunk=chunk)
     return dx
 
 

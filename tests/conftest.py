@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from kdmc import BackgroundParams
+
 
 class StubRng:
     """Duck-typed stand-in for RngStream with pinned draws."""
@@ -16,6 +18,29 @@ class StubRng:
     def normal(self, size=None):
         assert size is None
         return self.normals.pop(0)
+
+
+def same_bits(a, b):
+    """Bitwise equality of two float64 or int64 arrays."""
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+# populations of round_zero_inputs() whose round-0 flights all end inside
+# the horizon, none do, or some do: (horizon, least and most of the 40
+# particles with a collision). The flight scale eps**2 / sigma is about
+# 0.28; the horizon is the duration, or n_steps * dt for KD.
+ROUND_ZERO_POPULATIONS = [
+    pytest.param(1e-12, 0, 0, id="all-finish"),
+    pytest.param(30.0, 40, 40, id="none-finish"),
+    pytest.param(0.3, 1, 39, id="some-finish"),
+]
+
+
+def round_zero_inputs(n=40):
+    """Background, positions, velocities and per-particle start counters."""
+    rng = np.random.default_rng(3)
+    x0, v0 = rng.normal(size=n), rng.normal(size=n)
+    return BackgroundParams(1.3, 0.7, 2.0, 0.6), x0, v0, rng.integers(0, 2**62, n, dtype=np.uint64)
 
 
 @pytest.fixture

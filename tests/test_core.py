@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from kdmc import (
     RngStream,
     sample_maxwellian,
 )
+from kdmc import kd as kd_module
+from kdmc import kinetic as kinetic_module
+from kdmc import oracles as oracles_module
 from kdmc.core import (
     exponential_keyed,
     map_chunked,
@@ -240,17 +244,33 @@ class TestSampling:
 
 class TestChunking:
     def test_thread_count_does_not_change_results(self):
-        def work(lo, hi):
-            ids = np.arange(lo, hi, dtype=np.uint64)
-            return (uniform_open_closed(11, ids, np.uint64(0)),)
+        def fill(threads):
+            out = np.full(10_000, np.nan)
 
-        (one,) = map_chunked(work, 10_000, threads=1, chunk=256)
-        (four,) = map_chunked(work, 10_000, threads=4, chunk=256)
-        assert np.array_equal(one, four)
+            def work(lo, hi):
+                ids = np.arange(lo, hi, dtype=np.uint64)
+                out[lo:hi] = uniform_open_closed(11, ids, np.uint64(0))
+
+            map_chunked(work, out.size, threads=threads, chunk=256)
+            return out
+
+        one = fill(1)
+        assert np.isfinite(one).all()
+        assert np.array_equal(one, fill(4))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_returns_chunk_values_in_chunk_order(self, threads):
+        def work(lo, hi):
+            time.sleep(0.02 if lo == 0 else 0.0)  # the first chunk ends last
+            return lo, hi
+
+        bounds = map_chunked(work, 1000, threads=threads, chunk=64)
+        assert bounds == [(lo, min(lo + 64, 1000)) for lo in range(0, 1000, 64)]
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            map_chunked(lambda lo, hi: (np.zeros(hi - lo),), 0)
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                map_chunked(lambda lo, hi: None, n)
 
 
 class TestStepGrid:
@@ -266,3 +286,49 @@ class TestStepGrid:
     def test_rejects_other_spans(self, span, dt):
         with pytest.raises(ValueError):
             step_count(span, dt)
+
+
+def _ensemble(name, x0=(0.0, 0.0, 0.0), v=(1.0, 1.0, 1.0), ctr0=None):
+    # three particles; v is v0, or v_final for the oracle
+    p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
+    if name == "kinetic":
+        return kinetic_module.kinetic_ensemble(p, x0, v, 1.0, seed=1, ctr0=ctr0)
+    if name == "kd":
+        return kd_module.kd_ensemble(p, x0, v, 0.5, 2, seed=1, ctr0=ctr0)
+    if name == "random-walk":
+        return kd_module.random_walk_ensemble(p, x0, 0.5, 2, seed=1, ctr0=ctr0)
+    return oracles_module.conditioned_increment_ensemble(p, 1.0, v, n=3, seed=1, ctr0=ctr0)
+
+
+class TestEnsembleInputs:
+    """Bad inputs fail before any chunk of the population runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_chunks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ensemble started before its inputs were checked")
+
+        for module in (kinetic_module, kd_module, oracles_module):
+            monkeypatch.setattr(module, "map_chunked", refuse)
+
+    @pytest.mark.parametrize(
+        "name,inputs",
+        [
+            ("kinetic", dict(x0=[0.0, math.nan, 0.0])),
+            ("kinetic", dict(v=[math.inf, 1.0, 1.0])),
+            ("kd", dict(x0=[0.0, math.nan, 0.0])),
+            ("kd", dict(v=[math.inf, 1.0, 1.0])),
+            ("random-walk", dict(x0=[0.0, 0.0, -math.inf])),
+            ("oracle", dict(v=math.nan)),
+            ("oracle", dict(v=[1.0, -math.inf, 1.0])),
+        ],
+    )
+    def test_rejects_non_finite_states(self, name, inputs):
+        with pytest.raises(ValueError, match="must be finite"):
+            _ensemble(name, **inputs)
+
+    @pytest.mark.parametrize("name", ["kinetic", "kd", "random-walk", "oracle"])
+    @pytest.mark.parametrize("shape", [(1,), (5,), (3, 1)])
+    def test_rejects_ctr0_of_other_shapes(self, name, shape):
+        with pytest.raises(ValueError, match="ctr0"):
+            _ensemble(name, ctr0=np.zeros(shape, dtype=np.uint64))

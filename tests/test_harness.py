@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kdmc import BackgroundParams
+from kdmc import BackgroundParams, RngStream, sample_maxwellian
 from kdmc import config as config_module
 from kdmc import experiments as experiments_module
 from kdmc import oracles as oracles_module
@@ -27,6 +27,7 @@ from kdmc.experiments import run_experiment
 from kdmc.moments import mean_conditioned, var_conditioned
 from kdmc.oracles import conditioned_increment_ensemble, sample_moments
 from kdmc import cli
+from conftest import ROUND_ZERO_POPULATIONS, round_zero_inputs, same_bits
 
 
 class TestConfig:
@@ -213,6 +214,37 @@ class TestOracle:
             got = conditioned_increment_ensemble(
                 p, durations, v_final, threads=threads, chunk=7, **kwargs)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("duration,least,most", ROUND_ZERO_POPULATIONS)
+    def test_round_zero_finishers(self, duration, least, most):
+        p, _, v_final, ctr0 = round_zero_inputs()
+        kwargs = dict(n=len(v_final), seed=12, stream_lo=7, ctr0=ctr0)
+        dx = conditioned_increment_ensemble(p, duration, v_final, **kwargs)
+        for threads in (1, 2):
+            got = conditioned_increment_ensemble(p, duration, v_final, threads=threads, chunk=7,
+                                                 **kwargs)
+            assert same_bits(got, dx)
+        collided = 0
+        for i, vf in enumerate(v_final):
+            rng_i = RngStream(12, 7 + i, counter=int(ctr0[i]))
+            ref, collisions = scalar_conditioned_increment(p, duration, vf, rng_i)
+            assert ref == dx[i]
+            collided += collisions > 0
+        assert least <= collided <= most
+
+
+def scalar_conditioned_increment(params, duration, v_final, rng):
+    """One oracle path, particle by particle: each flight moves at the
+    Maxwellian drawn at the collision that ends it, the last one at v_final.
+    Returns (increment, collisions)."""
+    x, rem, collisions = 0.0, duration, 0
+    while True:
+        dtau = rng.exponential() * (params.eps * params.eps / params.sigma)
+        if dtau >= rem:
+            return x + (v_final / params.eps) * rem, collisions
+        x = x + (sample_maxwellian(params, rng) / params.eps) * dtau
+        rem = rem - dtau
+        collisions += 1
 
 
 def small_config(experiment, tmp_path, **extra):

@@ -24,7 +24,7 @@ from kdmc.kd import kd_ensemble, random_walk_ensemble
 from kdmc.kinetic import kinetic_ensemble
 from kdmc.metrics import fit_order, w1_sorted
 from kdmc.moments import conditioned_mean_var, mean_unconditioned
-from conftest import StubRng, moment_check
+from conftest import ROUND_ZERO_POPULATIONS, StubRng, moment_check, round_zero_inputs, same_bits
 
 P_UNIT = BackgroundParams(1.0, 0.0, 1.0, 1.0)
 
@@ -184,6 +184,23 @@ class TestSimulateKd:
             assert (ref.final_state.x, ref.final_state.v) == (kin.x[i], kin.v[i])
             assert ref.collisions_executed == kin.collisions[i]
 
+    @pytest.mark.parametrize("horizon,least,most", ROUND_ZERO_POPULATIONS)
+    def test_round_zero_finishers(self, horizon, least, most):
+        p, x0, v0, ctr0 = round_zero_inputs()
+        dt = horizon / 3
+        kwargs = dict(seed=12, stream_lo=7, ctr0=ctr0)
+        ens = kd_ensemble(p, x0, v0, dt, 3, **kwargs)
+        assert least <= (ens.collisions > 0).sum() <= most
+        names = ("x", "v", "collisions")
+        for threads in (1, 2):
+            got = kd_ensemble(p, x0, v0, dt, 3, threads=threads, chunk=7, **kwargs)
+            assert all(same_bits(getattr(got, k), getattr(ens, k)) for k in names)
+        for i in range(len(x0)):
+            rng_i = RngStream(12, 7 + i, counter=int(ctr0[i]))
+            rec = simulate_kd(ParticleState(x0[i], v0[i], 0.0), dt, 3 * dt, p, rng_i)
+            assert (rec.final_state.x, rec.final_state.v) == (ens.x[i], ens.v[i])
+            assert rec.collisions_executed == ens.collisions[i]
+
     def test_thread_determinism(self):
         n = 20_000
         v0 = RngStream(8, 1 << 40).normal(size=n)
@@ -249,6 +266,10 @@ class TestRandomWalk:
     def test_scalar_matches_vectorized(self):
         n = 32
         x = random_walk_ensemble(P_UNIT, np.zeros(n), 0.5, 4, seed=5)
+        for threads in (1, 2):
+            got = random_walk_ensemble(
+                P_UNIT, np.zeros(n), 0.5, 4, seed=5, threads=threads, chunk=7)
+            assert same_bits(got, x)
         for i in range(n):
             out = simulate_random_walk(ParticleState(0.0, 0.0, 0.0), 0.5, 2.0, P_UNIT, RngStream(5, i))
             assert out.x == x[i]

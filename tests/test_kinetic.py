@@ -18,7 +18,7 @@ from kdmc import (
 )
 from kdmc import kinetic as kinetic_module
 from kdmc.kinetic import kinetic_ensemble
-from conftest import StubRng, moment_check
+from conftest import ROUND_ZERO_POPULATIONS, StubRng, moment_check, round_zero_inputs, same_bits
 
 
 def two_cell_field(s1=1.0, s2=2.0, at=1.0, eps=1.0, u=0.0, temp=1.0):
@@ -239,6 +239,26 @@ class TestEnsembleDeterminism:
             )
             assert rec.final_state.x == ens.x[i]
             assert rec.final_state.v == ens.v[i]
+            assert rec.collisions_executed == ens.collisions[i]
+            assert rec.flight_segments[0][0] == ens.first_overlap[i]
+            assert rec.flight_segments[-1][0] == ens.last_overlap[i]
+
+    @pytest.mark.parametrize("duration,least,most", ROUND_ZERO_POPULATIONS)
+    def test_round_zero_finishers(self, duration, least, most):
+        p, x0, v0, ctr0 = round_zero_inputs()
+        kwargs = dict(seed=12, stream_lo=7, ctr0=ctr0)
+        ens = kinetic_ensemble(p, x0, v0, duration, **kwargs)
+        assert least <= (ens.collisions > 0).sum() <= most
+        names = ("x", "v", "collisions", "first_overlap", "last_overlap")
+        for threads in (1, 2):
+            got = kinetic_ensemble(p, x0, v0, duration, threads=threads, chunk=7, **kwargs)
+            assert all(same_bits(getattr(got, k), getattr(ens, k)) for k in names)
+        for i in range(len(x0)):
+            rng_i = RngStream(12, 7 + i, counter=int(ctr0[i]))
+            rec = simulate_kinetic(
+                ParticleState(x0[i], v0[i], 0.0), duration, p, rng_i, record_segments=True
+            )
+            assert (rec.final_state.x, rec.final_state.v) == (ens.x[i], ens.v[i])
             assert rec.collisions_executed == ens.collisions[i]
             assert rec.flight_segments[0][0] == ens.first_overlap[i]
             assert rec.flight_segments[-1][0] == ens.last_overlap[i]
