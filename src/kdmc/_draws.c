@@ -1,0 +1,97 @@
+/* kdmc's draw arithmetic over caller buffers: the splitmix64 stream keys
+ * and hash, the uniform maps and scipy.special's cephes ndtri, bit for bit.
+ * So build with -ffp-contract=off and never -ffast-math: every operation
+ * rounds once, as there. No state is kept, so threads may share the calls. */
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+
+#define PHI 0x9E3779B97F4A7C15ULL
+#define EXPM2 0.13533528323661269189 /* e^-2; ndtri's central branch is (e^-2, 1 - e^-2] */
+#define CENTRAL(u) ((u) > EXPM2 && (u) <= 1.0 - EXPM2)
+#define BATCH 256
+
+static inline uint64_t mix(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+void stream_keys(uint64_t seed, const uint64_t *stream, uint64_t *out, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = mix(seed ^ mix(stream[i] + PHI));
+}
+
+/* ((mix(key + (counter + 1) phi) >> 11) + offset) 2^-53 */
+void uniforms(const uint64_t *keys, const uint64_t *ctr, double offset, double *out, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = ((double)(mix(keys[i] + (ctr[i] + 1) * PHI) >> 11) + offset) * 0x1p-53;
+}
+
+/* cephes' coefficients; a leading 1.0 is p1evl's implicit one (1.0 * x == x) */
+static const double P0[] = {-5.99633501014107895267E1, 9.80010754185999661536E1,
+    -5.66762857469070293439E1, 1.39312609387279679503E1, -1.23916583867381258016E0};
+static const double Q0[] = {1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+    8.63602421390890590575E1, -2.25462687854119370527E2, 2.00260212380060660359E2,
+    -8.20372256168333339912E1, 1.59056225126211695515E1, -1.18331621121330003142E0};
+static const double P1[] = {
+    4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+    4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4};
+static const double Q1[] = {1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+    4.13172038254672030440E1, 1.50425385692907503408E1, 2.50464946208309415979E0,
+    -1.42182922854787788574E-1, -3.80806407691578277194E-2, -9.33259480895457427372E-4};
+static const double P2[] = {
+    3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+    1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9};
+static const double Q2[] = {1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
+    1.37702099489081330271E0, 2.16236993594496635890E-1, 1.34204006088543189037E-2,
+    3.28014464682127739104E-4, 2.89247864745380683936E-6, 6.79019408009981274425E-9};
+
+static inline double polevl(double x, const double *c, int n)
+{
+    double a = c[0];
+    for (int i = 1; i <= n; i++)
+        a = a * x + c[i];
+    return a;
+}
+
+/* in place, for u in [0, 1]. Per block, the tails first: independent libm
+ * calls, then branch-free loops over their positions `at`. Their results
+ * have |x| > 1.1, so the central pass, which keys on u, skips them. */
+void ndtri(double *u, ptrdiff_t n)
+{
+    for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
+        ptrdiff_t at[BATCH];
+        double y0[BATCH], lg[BATCH], x[BATCH];
+        int m = 0;
+        for (ptrdiff_t i = lo; i < n && i < lo + BATCH; i++) {
+            at[m] = i;
+            m += !CENTRAL(u[i]);
+        }
+        for (int k = 0; k < m; k++) {
+            y0[k] = u[at[k]];
+            lg[k] = log(y0[k] > 1.0 - EXPM2 ? 1.0 - y0[k] : y0[k]);
+        }
+        for (int k = 0; k < m; k++) {
+            x[k] = sqrt(-2.0 * lg[k]);
+            lg[k] = log(x[k]);
+        }
+        for (int k = 0; k < m; k++) {
+            double z = 1.0 / x[k], x0 = x[k] - lg[k] / x[k]; /* x >= 8 past y = e^-32 */
+            double x1 = x[k] < 8.0 ? z * polevl(z, P1, 8) / polevl(z, Q1, 8)
+                                   : z * polevl(z, P2, 8) / polevl(z, Q2, 8);
+            double v = y0[k] > 1.0 - EXPM2 ? x0 - x1 : -(x0 - x1);
+            u[at[k]] = y0[k] == 0.0 ? -INFINITY : y0[k] == 1.0 ? INFINITY : v;
+        }
+    }
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double y = u[i] - 0.5, y2 = y * y;
+        double x = (y + y * (y2 * polevl(y2, P0, 4) / polevl(y2, Q0, 8))) * 2.50662827463100050242E0;
+        u[i] = CENTRAL(u[i]) ? x : u[i];
+    }
+}

@@ -8,17 +8,25 @@ Every draw is a pure hash of (stream key, counter): `normal_keyed` and
 `exponential_keyed` on the keys from `stream_keys`.
 `normal_from_counter` and `uniform_open_closed`, which take (seed, stream),
 are compositions of them kept for the benchmark tracer, which wraps them.
+
+The draw arithmetic lives in `_draws.c`, compiled on first import: the
+splitmix64 stream keys and hash, the two uniform maps, and a port of the
+cephes `ndtri` that `scipy.special.ndtri` runs, bit for bit.
+`exponential_keyed` keeps `np.log` in numpy, on the C uniforms.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
+import ctypes
+import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "BackgroundParams",
@@ -39,89 +47,101 @@ __all__ = [
     "map_chunked",
 ]
 
-# splitmix64 increment and finalizer constants
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
-_INV53 = float(2.0**-53)
+# never -ffast-math: the draws must round as numpy and scipy do
+DRAWS_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno")
 
 
-def _mix64(z):
-    """splitmix64 finalizer; modular uint64 arithmetic, vectorized."""
-    t = z >> _S30
-    t ^= z
-    t *= _M1
-    z = t >> _S27
-    z ^= t
-    z *= _M2
-    t = z >> _S31
-    t ^= z
-    return t
+def _cpu_features():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next(line for line in fh if line.startswith("flags"))
+    except (OSError, StopIteration):
+        return os.uname().machine
+
+
+def _build(src, flags, lib):
+    import shlex  # imported here: only a cache miss needs these two
+    import subprocess
+
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    tmp = f"{lib}.{os.getpid()}.tmp"  # one per process, so concurrent builds never share it
+    try:
+        subprocess.run([*cc, *flags, "-shared", "-fPIC", "-o", tmp, src, "-lm"],
+                       check=True, capture_output=True)
+        os.replace(tmp, lib)  # atomic: readers see no library or a whole one
+    except (OSError, subprocess.CalledProcessError) as exc:
+        stderr = getattr(exc, "stderr", None) or b""
+        raise ImportError(f"kdmc compiles its draws from C with {shlex.join(cc)}, which failed: "
+                          f"{exc}\n{stderr.decode(errors='replace')}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=DRAWS_FLAGS):
+    """The compiled `src`, built with $CC (default cc) unless cached. The
+    cache, `__pycache__` beside it or else ~/.cache/kdmc, is keyed by the
+    source, the flags and the CPU's features, so a -march=native build
+    loads only on the CPU it was built for; a cache hit runs no compiler."""
+    with open(src, "rb") as fh:
+        tag = hashlib.sha256(fh.read() + repr(flags).encode() + _cpu_features().encode())
+    for cache in (os.path.join(os.path.dirname(src), "__pycache__"),
+                  os.path.join(os.path.expanduser("~"), ".cache", "kdmc")):
+        with contextlib.suppress(OSError):
+            os.makedirs(cache, exist_ok=True)
+        if os.access(cache, os.W_OK):
+            break
+    lib = os.path.join(cache, f"_draws-{tag.hexdigest()[:20]}.so")
+    if not os.path.exists(lib):
+        _build(src, flags, lib)
+    draws = ctypes.CDLL(lib)  # its calls release the GIL
+    p, n = ctypes.c_void_p, ctypes.c_ssize_t
+    for fn, args in ((draws.stream_keys, (ctypes.c_uint64, p, p, n)),
+                     (draws.uniforms, (p, p, ctypes.c_double, p, n)), (draws.ndtri, (p, n))):
+        fn.argtypes, fn.restype = args, None
+    return draws
+
+
+_draws = _load_draws()
 
 
 def stream_keys(seed, stream):
-    """Per-stream hash keys. Each stream walks its own window of the
-    splitmix64 Weyl orbit; drivers hash its key once per chunk, so a draw
-    costs one finalizer round."""
+    """Per-stream hash keys mix(seed ^ mix(stream + phi)). Each stream walks
+    its own window of the splitmix64 Weyl orbit; drivers hash its key once
+    per chunk, so a draw costs one finalizer round."""
     stream = np.asarray(stream, dtype=np.uint64)
-    # hashed as 1-d: 0-d uint64 arithmetic warns on the intended modular overflow
-    keys = _mix64(np.asarray(seed, dtype=np.uint64) ^ _mix64(np.atleast_1d(stream) + _PHI))
-    return keys[0] if stream.ndim == 0 else keys
+    s = np.ascontiguousarray(stream.reshape(-1))
+    keys = np.empty_like(s)
+    _draws.stream_keys(int(np.uint64(seed)), s.ctypes.data, keys.ctypes.data, keys.size)
+    return keys[0] if stream.ndim == 0 else keys.reshape(stream.shape)
 
 
-def _hash_keyed(keys, counter):
-    """64 random bits of (stream key, counter) and a spare buffer of the
-    same size.
-
-    The hash runs in place in two fresh uint64 buffers, so neither argument
-    is written; the keyed draws finish their float work in the spare one.
-    """
+def _uniforms(keys, counter, offset):
+    # ((bits >> 11) + offset) * 2**-53 of the broadcast (key, counter) pairs,
+    # 1-d even for scalar input: numpy's log may take another loop on 0-d
     keys = np.asarray(keys, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
-    # 1-d buffers even for scalar input: 0-d uint64 arithmetic warns on the
-    # intended modular overflow
-    z = np.empty(np.broadcast_shapes(keys.shape, counter.shape) or (1,), dtype=np.uint64)
-    np.add(counter, np.uint64(1), out=z)
-    z *= _PHI
-    z += keys
-    t = np.right_shift(z, _S30)
-    t ^= z
-    t *= _M1
-    np.right_shift(t, _S27, out=z)
-    z ^= t
-    z *= _M2
-    np.right_shift(z, _S31, out=t)
-    t ^= z
-    return t, z
+    u = np.empty(np.broadcast_shapes(keys.shape, counter.shape) or (1,))
+    k, c = (np.ascontiguousarray(a if a.shape == u.shape else np.broadcast_to(a, u.shape))
+            for a in (keys, counter))
+    _draws.uniforms(k.ctypes.data, c.ctypes.data, offset, u.ctypes.data, u.size)
+    return u
 
 
 def _scalar_if(out, keys, counter):
     return out[0] if np.ndim(keys) == 0 and np.ndim(counter) == 0 else out
 
 
-def _keyed_uniform(keys, counter, offset):
-    # ((bits >> 11) + offset) * 2**-53, written into the spare buffer
-    bits, spare = _hash_keyed(keys, counter)
-    bits >>= _S11
-    u = spare.view(np.float64)
-    np.add(bits, offset, out=u)
-    u *= _INV53
-    return u
-
-
 def normal_keyed(keys, counter):
     """Standard normal ndtri(u) of a uniform u on (0, 1); one counter each."""
-    u = _keyed_uniform(keys, counter, 0.5)
-    return _scalar_if(ndtri(u, out=u), keys, counter)
+    u = _uniforms(keys, counter, 0.5)
+    _draws.ndtri(u.ctypes.data, u.size)
+    return _scalar_if(u, keys, counter)
 
 
 def exponential_keyed(keys, counter):
     """Unit exponential -ln(u) of a uniform u on (0, 1]; always finite."""
-    u = _keyed_uniform(keys, counter, 1.0)
+    u = _uniforms(keys, counter, 1.0)
     np.log(u, out=u)
     return _scalar_if(np.negative(u, out=u), keys, counter)
 
@@ -129,7 +149,7 @@ def exponential_keyed(keys, counter):
 def uniform_open_closed(seed, stream, counter):
     """Uniform draw on (0, 1]; zero is impossible by construction."""
     keys = stream_keys(seed, stream)
-    return _scalar_if(_keyed_uniform(keys, counter, 1.0), keys, counter)
+    return _scalar_if(_uniforms(keys, counter, 1.0), keys, counter)
 
 
 def normal_from_counter(seed, stream, counter):

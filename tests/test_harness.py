@@ -210,10 +210,17 @@ class TestOracle:
         ctr0 = rng.integers(0, 2**62, n, dtype=np.uint64)
         kwargs = dict(seed=4, stream_lo=11, ctr0=ctr0)
         ref = conditioned_increment_ensemble(p, durations, v_final, **kwargs)
-        for threads in (1, 2):
-            got = conditioned_increment_ensemble(
-                p, durations, v_final, threads=threads, chunk=7, **kwargs)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # the compiled draws run outside the GIL, so chunks draw concurrently;
+        # more threads than cores and a short switch interval interleave them
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 4):
+                got = conditioned_increment_ensemble(
+                    p, durations, v_final, threads=threads, chunk=7, **kwargs)
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("duration,least,most", ROUND_ZERO_POPULATIONS)
     def test_round_zero_finishers(self, duration, least, most):
