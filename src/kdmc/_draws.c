@@ -1,15 +1,18 @@
 /* kdmc's draw arithmetic over caller buffers: the splitmix64 stream keys
- * and hash, the uniform maps and scipy.special's cephes ndtri, bit for bit.
+ * and hash, the uniform maps and scipy.special's cephes ndtri, bit for bit,
+ * and the lockstep engine's per-round passes built on them.
  * So build with -ffp-contract=off and never -ffast-math: every operation
- * rounds once, as there. No state is kept, so threads may share the calls. */
+ * rounds once, as numpy and scipy round it. No state is kept, so threads
+ * may share the calls. */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define PHI 0x9E3779B97F4A7C15ULL
 #define EXPM2 0.13533528323661269189 /* e^-2; ndtri's central branch is (e^-2, 1 - e^-2] */
-#define CENTRAL(u) ((u) > EXPM2 && (u) <= 1.0 - EXPM2)
 #define BATCH 256
+#define BLOCK(n, lo) ((n) - (lo) < BATCH ? (int)((n) - (lo)) : BATCH) /* at lo */
 
 static inline uint64_t mix(uint64_t z)
 {
@@ -60,38 +63,135 @@ static inline double polevl(double x, const double *c, int n)
     return a;
 }
 
-/* in place, for u in [0, 1]. Per block, the tails first: independent libm
- * calls, then branch-free loops over their positions `at`. Their results
- * have |x| > 1.1, so the central pass, which keys on u, skips them. */
+/* in place, for n <= BATCH values u in [0, 1]. The tails first, flagged in
+ * a vector pass and gathered into loops without branches: the libm calls,
+ * each in a loop of its own, and the x >= 8 rational (y < e^-32) only when
+ * the block holds such a tail. Their results have |x| > 1.1, so the central
+ * pass, which keys on u, keeps them. */
+static void ndtri_block(double *u, int n)
+{
+    int at[BATCH], m = 0, far = 0;
+    _Bool tail[BATCH];
+    double y0[BATCH], y[BATCH], lg[BATCH], x[BATCH], x1[BATCH];
+    for (int i = 0; i < n; i++)
+        tail[i] = (u[i] <= EXPM2) | (u[i] > 1.0 - EXPM2);
+    for (int i = 0; i < n; i++) {
+        at[m] = i;
+        m += tail[i];
+    }
+    for (int k = 0; k < m; k++) {
+        y0[k] = u[at[k]];
+        y[k] = y0[k] > 1.0 - EXPM2 ? 1.0 - y0[k] : y0[k];
+    }
+    for (int k = 0; k < m; k++)
+        lg[k] = log(y[k]);
+    for (int k = 0; k < m; k++) {
+        x[k] = sqrt(-2.0 * lg[k]);
+        double z = 1.0 / x[k];
+        x1[k] = z * polevl(z, P1, 8) / polevl(z, Q1, 8);
+        far |= x[k] >= 8.0;
+    }
+    for (int k = 0; k < m; k++)
+        lg[k] = log(x[k]);
+    for (int k = 0; far && k < m; k++) {
+        double z = 1.0 / x[k];
+        x1[k] = x[k] < 8.0 ? x1[k] : z * polevl(z, P2, 8) / polevl(z, Q2, 8);
+    }
+    for (int k = 0; k < m; k++) {
+        double v = x[k] - lg[k] / x[k] - x1[k], w = y0[k] > 1.0 - EXPM2 ? v : -v;
+        u[at[k]] = y0[k] == 0.0 ? -INFINITY : y0[k] == 1.0 ? INFINITY : w;
+    }
+    for (int i = 0; i < n; i++) {
+        double c = u[i] - 0.5, c2 = c * c;
+        double x = (c + c * (c2 * polevl(c2, P0, 4) / polevl(c2, Q0, 8))) * 2.50662827463100050242E0;
+        u[i] = (u[i] > EXPM2) & (u[i] <= 1.0 - EXPM2) ? x : u[i];
+    }
+}
+
 void ndtri(double *u, ptrdiff_t n)
 {
+    for (ptrdiff_t lo = 0; lo < n; lo += BATCH)
+        ndtri_block(u + lo, BLOCK(n, lo));
+}
+
+/* the standard normals ndtri(u) of the uniforms on (0, 1) */
+void normals(const uint64_t *keys, const uint64_t *ctr, double *out, ptrdiff_t n)
+{
     for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
-        ptrdiff_t at[BATCH];
-        double y0[BATCH], lg[BATCH], x[BATCH];
-        int m = 0;
-        for (ptrdiff_t i = lo; i < n && i < lo + BATCH; i++) {
-            at[m] = i;
-            m += !CENTRAL(u[i]);
-        }
-        for (int k = 0; k < m; k++) {
-            y0[k] = u[at[k]];
-            lg[k] = log(y0[k] > 1.0 - EXPM2 ? 1.0 - y0[k] : y0[k]);
-        }
-        for (int k = 0; k < m; k++) {
-            x[k] = sqrt(-2.0 * lg[k]);
-            lg[k] = log(x[k]);
-        }
-        for (int k = 0; k < m; k++) {
-            double z = 1.0 / x[k], x0 = x[k] - lg[k] / x[k]; /* x >= 8 past y = e^-32 */
-            double x1 = x[k] < 8.0 ? z * polevl(z, P1, 8) / polevl(z, Q1, 8)
-                                   : z * polevl(z, P2, 8) / polevl(z, Q2, 8);
-            double v = y0[k] > 1.0 - EXPM2 ? x0 - x1 : -(x0 - x1);
-            u[at[k]] = y0[k] == 0.0 ? -INFINITY : y0[k] == 1.0 ? INFINITY : v;
-        }
+        uniforms(keys + lo, ctr + lo, 0.5, out + lo, BLOCK(n, lo));
+        ndtri_block(out + lo, BLOCK(n, lo));
     }
+}
+
+/* A round's flights, on dtau = log(u) of the uniforms on (0, 1]: dtau
+ * becomes -log(u) scale, the counters step, and done flags the flights that
+ * reach their remaining time rem. Returns the number done. */
+ptrdiff_t flights(const double *rem, double *dtau, uint64_t *ctr, _Bool *done, double scale,
+                  ptrdiff_t n)
+{
+    ptrdiff_t count = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
-        double y = u[i] - 0.5, y2 = y * y;
-        double x = (y + y * (y2 * polevl(y2, P0, 4) / polevl(y2, Q0, 8))) * 2.50662827463100050242E0;
-        u[i] = CENTRAL(u[i]) ? x : u[i];
+        dtau[i] = -dtau[i] * scale;
+        ctr[i] += 1;
+        done[i] = dtau[i] >= rem[i];
+        count += done[i];
     }
+    return count;
+}
+
+enum { KINETIC, ORACLE, KD };
+
+/* One collision of each particle after its flight dtau, per block: the
+ * normal z at its counter, then KINETIC: x += (v / eps) dtau, rem -= dtau,
+ * v = z sd + mean; ORACLE: x += ((z sd + mean) / eps) dtau, rem -= dtau;
+ * KD: x += (v / eps) dtau, v = z sd + mean, z2 = the next counter's normal.
+ * The counters step past what was drawn. */
+void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, double *x,
+             double *v, double *rem, double *z2, double eps, double sd, double mean, ptrdiff_t n)
+{
+    double z[BATCH];
+    for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
+        int m = BLOCK(n, lo);
+        normals(keys + lo, ctr + lo, z, m);
+        for (ptrdiff_t i = lo; i < lo + m; i++) {
+            if (kind == ORACLE) {
+                x[i] += ((z[i - lo] * sd + mean) / eps) * dtau[i];
+            } else {
+                x[i] += (v[i] / eps) * dtau[i];
+                v[i] = z[i - lo] * sd + mean;
+            }
+            if (kind != KD)
+                rem[i] -= dtau[i];
+            ctr[i] += 1;
+        }
+        if (kind == KD) {
+            normals(keys + lo, ctr + lo, z2 + lo, m);
+            for (ptrdiff_t i = lo; i < lo + m; i++)
+                ctr[i] += 1;
+        }
+    }
+}
+
+/* Drops the particles flagged done from k columns of 8-byte values, in
+ * place and in order, and returns how many are left. Column k holds their
+ * output slots; fresh fills it with their positions instead. Per block,
+ * the kept positions first; then each column gathers them. */
+ptrdiff_t compact(const _Bool *done, ptrdiff_t n, uint64_t *const *cols, int k, int fresh)
+{
+    ptrdiff_t m = 0;
+    for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
+        ptrdiff_t at[BATCH], kept = 0;
+        for (ptrdiff_t i = lo; i < lo + BLOCK(n, lo); i++) {
+            at[kept] = i;
+            kept += !done[i];
+        }
+        for (int c = 0; c <= k; c++) {
+            uint64_t values[BATCH]; /* then moved down: the gather reads ahead of m */
+            for (ptrdiff_t j = 0; j < kept; j++)
+                values[j] = c == k && fresh ? (uint64_t)at[j] : cols[c][at[j]];
+            memmove(cols[c] + m, values, kept * sizeof *values);
+        }
+        m += kept;
+    }
+    return m;
 }

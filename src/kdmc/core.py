@@ -10,9 +10,10 @@ Every draw is a pure hash of (stream key, counter): `normal_keyed` and
 are compositions of them kept for the benchmark tracer, which wraps them.
 
 The draw arithmetic lives in `_draws.c`, compiled on first import: the
-splitmix64 stream keys and hash, the two uniform maps, and a port of the
-cephes `ndtri` that `scipy.special.ndtri` runs, bit for bit.
-`exponential_keyed` keeps `np.log` in numpy, on the C uniforms.
+splitmix64 stream keys and hash, the two uniform maps, a port of the
+cephes `ndtri` that `scipy.special.ndtri` runs, bit for bit, and the
+lockstep engine's per-round kernels. `exponential_keyed` and the engine's
+flights keep `np.log` in numpy, on the C uniforms.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "finite",
     "step_count",
     "whole_steps",
+    "collision",
     "lockstep",
     "map_chunked",
 ]
@@ -95,14 +97,19 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
     if not os.path.exists(lib):
         _build(src, flags, lib)
     draws = ctypes.CDLL(lib)  # its calls release the GIL
-    p, n = ctypes.c_void_p, ctypes.c_ssize_t
-    for fn, args in ((draws.stream_keys, (ctypes.c_uint64, p, p, n)),
-                     (draws.uniforms, (p, p, ctypes.c_double, p, n)), (draws.ndtri, (p, n))):
-        fn.argtypes, fn.restype = args, None
+    p, n, f, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
+    for fn, args, res in (
+        ("stream_keys", (ctypes.c_uint64, p, p, n), None), ("uniforms", (p, p, f, p, n), None),
+        ("normals", (p, p, p, n), None), ("ndtri", (p, n), None),
+        ("flights", (p, p, p, p, f, n), n), ("compact", (p, n, p, i, i), n),
+        ("collide", (i, p, p, p, p, p, p, p, f, f, f, n), None),
+    ):
+        getattr(draws, fn).argtypes, getattr(draws, fn).restype = args, res
     return draws
 
 
 _draws = _load_draws()
+KINETIC, ORACLE, KD = range(3)  # the kinds of _draws.collide
 
 
 def stream_keys(seed, stream):
@@ -116,16 +123,16 @@ def stream_keys(seed, stream):
     return keys[0] if stream.ndim == 0 else keys.reshape(stream.shape)
 
 
-def _uniforms(keys, counter, offset):
-    # ((bits >> 11) + offset) * 2**-53 of the broadcast (key, counter) pairs,
+def _keyed(fn, keys, counter, *args):
+    # fn(keys, counters, *args, out, n) on the broadcast (key, counter) pairs,
     # 1-d even for scalar input: numpy's log may take another loop on 0-d
     keys = np.asarray(keys, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
-    u = np.empty(np.broadcast_shapes(keys.shape, counter.shape) or (1,))
-    k, c = (np.ascontiguousarray(a if a.shape == u.shape else np.broadcast_to(a, u.shape))
+    out = np.empty(np.broadcast_shapes(keys.shape, counter.shape) or (1,))
+    k, c = (np.ascontiguousarray(a if a.shape == out.shape else np.broadcast_to(a, out.shape))
             for a in (keys, counter))
-    _draws.uniforms(k.ctypes.data, c.ctypes.data, offset, u.ctypes.data, u.size)
-    return u
+    fn(k.ctypes.data, c.ctypes.data, *args, out.ctypes.data, out.size)
+    return out
 
 
 def _scalar_if(out, keys, counter):
@@ -134,14 +141,12 @@ def _scalar_if(out, keys, counter):
 
 def normal_keyed(keys, counter):
     """Standard normal ndtri(u) of a uniform u on (0, 1); one counter each."""
-    u = _uniforms(keys, counter, 0.5)
-    _draws.ndtri(u.ctypes.data, u.size)
-    return _scalar_if(u, keys, counter)
+    return _scalar_if(_keyed(_draws.normals, keys, counter), keys, counter)
 
 
 def exponential_keyed(keys, counter):
     """Unit exponential -ln(u) of a uniform u on (0, 1]; always finite."""
-    u = _uniforms(keys, counter, 1.0)
+    u = _keyed(_draws.uniforms, keys, counter, 1.0)
     np.log(u, out=u)
     return _scalar_if(np.negative(u, out=u), keys, counter)
 
@@ -149,7 +154,7 @@ def exponential_keyed(keys, counter):
 def uniform_open_closed(seed, stream, counter):
     """Uniform draw on (0, 1]; zero is impossible by construction."""
     keys = stream_keys(seed, stream)
-    return _scalar_if(_uniforms(keys, counter, 1.0), keys, counter)
+    return _scalar_if(_keyed(_draws.uniforms, keys, counter, 1.0), keys, counter)
 
 
 def normal_from_counter(seed, stream, counter):
@@ -320,58 +325,81 @@ def whole_steps(dt, n_steps):
     return int(n_steps)
 
 
+def _addr(a):
+    # a writable, contiguous, nonempty array's data, 4x cheaper than a.ctypes.data
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def collision(kind, live, dtau, params, z2=None):
+    """One C pass of collisions after the flights dtau: `kind` KINETIC, ORACLE
+    or KD picks the move (see `_draws.c`); KD writes its substep normals to z2."""
+    cols = dict(live, dtau=dtau, z2=z2)
+    _draws.collide(kind, *(None if cols.get(name) is None else _addr(cols[name])
+                           for name in ("keys", "ctr", "dtau", "x", "v", "rem", "z2")),
+                   params.eps, math.sqrt(params.temperature), params.eps * params.u, dtau.size)
+
+
 def lockstep(live, scale, finish, collide):
     """Run a particle population to the end in lockstep rounds; returns the
     wall seconds of the loop.
 
     `live` maps names to equal-length arrays over the particles still
-    running; it holds at least "keys" (stream keys), "ctr" (next counters)
-    and "rem" (time left). In round r every live particle draws its flight
-    dtau = scale * Exp(1) at its next counter. A particle whose flight
-    reaches its remaining time finishes with r collisions. The driver
-    presets every output to the result without collisions, so a particle
-    that finishes in round 0 costs only its flight draw and keeps those
-    presets. From round 1 on, finish(fin, slots, r, tail) gets a finishing
-    particle's live positions, its output slots and tail = rem[fin], the
-    length of its last flight. The others collide: collide(dtau) moves them
-    and draws what the driver needs. It may return a mask of particles that
-    are done at that collision; they get finish(fin, slots, r + 1, None).
-
-    The arrays in `live` are gathered down only in rounds where some
-    particle finishes, one reassignment per array, so each old array is
-    freed as its successor is made; drivers write a particle's outputs once,
-    when it finishes. Positions and slots are slices while no particle has
-    left or when all finish, so such a round copies instead of gathering.
+    running: at least "keys" (stream keys), "ctr" (next counters) and "rem"
+    (time left). They go to C as they are, so they are the driver's own,
+    contiguous and of 8-byte types; lockstep compacts them in place. In
+    round r every live particle draws its flight dtau = scale * Exp(1) at
+    its next counter. A particle whose flight reaches its remaining time
+    finishes with r collisions. The driver presets every output to the
+    result without collisions, so a particle that finishes in round 0 costs
+    only its flight draw and keeps those presets. From round 1 on,
+    finish(fin, slots, r, tail) gets a finishing particle's live positions,
+    its output slots and tail = rem[fin], the length of its last flight. The
+    others collide: collide(dtau) moves them and draws what the driver needs
+    (dtau is live["dtau"], lockstep's buffer). It may return a mask of
+    particles that are done at that collision; they get
+    finish(fin, slots, r + 1, None). A round where some particle finishes
+    drops them from every array in one order-keeping C pass.
     """
     t_loop = time.perf_counter()
-    idx = None  # output slot of each live particle; None while all are live
+    n = live["rem"].size
+    live["dtau"] = np.empty(n)
+    done_buf = np.empty(n, dtype=np.bool_)
+    slots = None  # each live particle's output slot; None while none has left
     rnd = 0
 
-    def retire(done, flew):
-        # finish the flagged particles and drop them; False once none is left
-        nonlocal idx
-        everyone = done.all()
+    def retire(done, count, flew):
+        # finish the `count` flagged particles and drop them; False once none is left
+        nonlocal slots
+        m = done.size
         if rnd:
-            fin = slice(None) if everyone else np.flatnonzero(done)
-            finish(fin, fin if idx is None else idx[fin], rnd, live["rem"][fin] if flew else None)
-        if everyone:
+            fin = slice(None) if count == m else np.flatnonzero(done)
+            finish(fin, fin if slots is None else slots[fin], rnd,
+                   live["rem"][fin] if flew else None)
+        if count == m:
             return False
-        keep = ~done
-        idx = np.flatnonzero(keep) if idx is None else idx[keep]
+        fresh = slots is None
+        if fresh:
+            slots = np.empty(m - count, dtype=np.int64)  # compact fills it with positions
+        cols = [*live.values(), slots]
+        left = _draws.compact(_addr(done), m, (ctypes.c_void_p * len(cols))(*map(_addr, cols)),
+                              len(cols) - 1, fresh)
         for name in live:
-            live[name] = live[name][keep]
+            live[name] = live[name][:left]
+        slots = slots[:left]
         return True
 
     while True:
-        live["dtau"] = exponential_keyed(live["keys"], live["ctr"])
-        live["dtau"] *= scale
-        live["ctr"] += np.uint64(1)
-        done = live["dtau"] >= live["rem"]
-        if done.any() and not retire(done, True):
+        m = live["rem"].size
+        ctr, dtau, done = live["ctr"], live["dtau"], done_buf[:m]
+        _draws.uniforms(_addr(live["keys"]), _addr(ctr), 1.0, _addr(dtau), m)
+        np.log(dtau, out=dtau)
+        count = _draws.flights(_addr(live["rem"]), _addr(dtau), _addr(ctr), _addr(done), scale, m)
+        if count and not retire(done, count, True):
             break
-        done = collide(live.pop("dtau"))
+        done = collide(live["dtau"])
         rnd += 1
-        if done is not None and done.any() and not retire(done, False):
+        count = 0 if done is None else np.count_nonzero(done)
+        if count and not retire(done, count, False):
             break
     return time.perf_counter() - t_loop
 

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    KD,
     ParticleState,
+    collision,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.exponential_keyed
     finite,
     lockstep,
@@ -154,7 +156,8 @@ def _collision_remainder(dtau, dt, left):
     the steps not yet started, drops in place by the steps the flight took.
 
     Same arithmetic as `simulate_kd`. dtau // dt is exactly 0 below dt, so
-    only the longer flights are divided.
+    only the longer flights are divided; the shorter ones leave theta =
+    dt - dtau in (0, dt], where the clamp to [0, dt] changes nothing.
     """
     theta = dt - dtau
     left -= 1
@@ -162,11 +165,10 @@ def _collision_remainder(dtau, dt, left):
     if far.size:
         dtau_far = dtau[far]
         j = np.minimum((dtau_far // dt).astype(np.int64), left[far])
-        theta[far] = dt - (dtau_far - j * dt)
+        # rounding at the grid edge can leave theta a few ulp outside [0, dt]
+        theta[far] = np.minimum(np.maximum(dt - (dtau_far - j * dt), 0.0), dt)
         left[far] -= j
-    # rounding at the grid edge can leave theta a few ulp outside [0, dt]
-    np.maximum(theta, 0.0, out=theta)
-    return np.minimum(theta, dt, out=theta)
+    return theta
 
 
 def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
@@ -174,12 +176,10 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
     # out: this chunk's slices of the ensemble's x, v and collisions, preset
     # to the results of a particle without collisions
     out_x, out_v, out_coll = out
-    np.multiply(v0 / params.eps, n_steps * dt, out=out_x)
+    np.multiply(np.divide(v0, params.eps, out=out_x), n_steps * dt, out=out_x)  # no temporary
     out_x += x0
     out_v[:] = v0
     out_coll[:] = 0
-    vel_mean = params.eps * params.u
-    vel_sd = math.sqrt(params.temperature)
     live = {
         "keys": stream_keys(seed, streams),
         "ctr": ctr0.copy(),
@@ -202,16 +202,10 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
 
     def collide(dtau):
         nonlocal theta, z, mean, var
-        live["x"] += (live["v"] / params.eps) * dtau
         theta = _collision_remainder(dtau, dt, live["left"])
-        v = normal_keyed(live["keys"], live["ctr"])
-        v *= vel_sd
-        v += vel_mean
-        live["v"] = v
-        live["ctr"] += np.uint64(1)
-        z = normal_keyed(live["keys"], live["ctr"])
-        live["ctr"] += np.uint64(1)
-        mean, var = conditioned_mean_var(params, theta, v)
+        z = np.empty_like(dtau)
+        collision(KD, live, dtau, params, z)  # the move, the new velocity and the substep normal
+        mean, var = conditioned_mean_var(params, theta, live["v"])
         np.sqrt(var, out=var)
         var *= z
         var += mean

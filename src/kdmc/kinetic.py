@@ -13,13 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    KINETIC,
     BackgroundParams,
     ParticleState,
+    collision,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.exponential_keyed
     finite,
     lockstep,
     map_chunked,
-    normal_keyed,
+    normal_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.normal_keyed
     sample_maxwellian,
     stream_inputs,
     stream_keys,
@@ -155,20 +157,18 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0, out):
     # out: this chunk's slices of the ensemble's x, v, collisions, first and
     # last overlap, preset to the results of a particle without collisions
     out_x, out_v, out_coll, out_first, out_last = out
-    np.multiply(v0 / params.eps, duration, out=out_x)
+    np.multiply(np.divide(v0, params.eps, out=out_x), duration, out=out_x)  # no temporary
     out_x += x0
     out_v[:] = v0
     out_coll[:] = 0
     out_first[:] = duration
     out_last[:] = duration
-    vel_mean = params.eps * params.u
-    vel_sd = math.sqrt(params.temperature)
     live = {
         "keys": stream_keys(seed, streams),
         "ctr": ctr0.copy(),
         "rem": np.full(n, float(duration)),
         "x": x0.copy(),
-        "v": v0,  # the caller's: collide replaces v, never writes it
+        "v": v0.copy(),
     }
 
     def finish(fin, slots, rnd, tail):
@@ -180,14 +180,9 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0, out):
         out_last[slots] = tail
 
     def collide(dtau):
-        live.setdefault("first", dtau)  # the round-0 flight
-        live["x"] += (live["v"] / params.eps) * dtau
-        live["rem"] -= dtau
-        v = normal_keyed(live["keys"], live["ctr"])
-        v *= vel_sd
-        v += vel_mean
-        live["v"] = v
-        live["ctr"] += np.uint64(1)
+        if "first" not in live:
+            live["first"] = dtau.copy()  # the round-0 flight
+        collision(KINETIC, live, dtau, params)
 
     return lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
 

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ORACLE,
+    collision,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.exponential_keyed
     finite,
     lockstep,
     map_chunked,
-    normal_keyed,
+    normal_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.normal_keyed
     stream_inputs,
     stream_keys,
 )
@@ -43,14 +45,12 @@ class OracleMoments:
 
 def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0, out):
     n = durations.shape[0]
-    vel_mean = params.eps * params.u
-    vel_sd = math.sqrt(params.temperature)
     live = {
         "keys": stream_keys(seed, streams),
         "ctr": ctr0.copy(),
         "rem": durations.copy(),
         "x": np.zeros(n),
-        "vf": v_final,
+        "vf": v_final.copy(),
     }
     # out, this chunk's slice of the increments, starts at the increment of
     # a path without collisions
@@ -59,17 +59,8 @@ def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0, out):
     def finish(fin, slots, rnd, tail):
         out[slots] = live["x"][fin] + (live["vf"][fin] / params.eps) * tail
 
-    def collide(dtau):
-        w = normal_keyed(live["keys"], live["ctr"])
-        w *= vel_sd
-        w += vel_mean
-        live["ctr"] += np.uint64(1)
-        w /= params.eps
-        w *= dtau
-        live["x"] += w
-        live["rem"] -= dtau
-
-    lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
+    lockstep(live, params.eps * params.eps / params.sigma, finish,
+             lambda dtau: collision(ORACLE, live, dtau, params))
 
 
 def conditioned_increment_ensemble(

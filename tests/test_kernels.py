@@ -1,0 +1,400 @@
+"""The lockstep engine's C kernels (flights, collide, compact, normals and
+ndtri) against test-local copies of the numpy code they replaced, bit for
+bit, one kernel at a time and as whole ensembles."""
+
+import ctypes
+import math
+import sys
+
+import numpy as np
+import pytest
+from scipy.special import ndtri as scipy_ndtri
+
+from kdmc import BackgroundParams
+from kdmc.core import (
+    KD,
+    KINETIC,
+    ORACLE,
+    _draws,
+    collision,
+    exponential_keyed,
+    normal_keyed,
+    stream_keys,
+)
+from kdmc.kd import _collision_remainder, kd_ensemble
+from kdmc.kinetic import kinetic_ensemble
+from kdmc.moments import conditioned_mean_var
+from kdmc.oracles import conditioned_increment_ensemble
+from conftest import ROUND_ZERO_POPULATIONS, round_zero_inputs, same_bits
+
+PARAMS = BackgroundParams(1.3, 0.7, 2.0, 0.6)
+SIZES = [40, 255, 256, 257, 700]  # one block and less, the block edge, several blocks
+
+
+# ---------------------------------------------------------------------------
+# the numpy engine the kernels replaced: lockstep with boolean-mask gathers,
+# and each driver's numpy collision
+
+
+def numpy_lockstep(live, scale, finish, collide):
+    idx = None
+    rnd = 0
+
+    def retire(done, flew):
+        nonlocal idx
+        everyone = done.all()
+        if rnd:
+            fin = slice(None) if everyone else np.flatnonzero(done)
+            finish(fin, fin if idx is None else idx[fin], rnd, live["rem"][fin] if flew else None)
+        if everyone:
+            return False
+        keep = ~done
+        idx = np.flatnonzero(keep) if idx is None else idx[keep]
+        for name in live:
+            live[name] = live[name][keep]
+        return True
+
+    while True:
+        live["dtau"] = exponential_keyed(live["keys"], live["ctr"])
+        live["dtau"] *= scale
+        live["ctr"] += np.uint64(1)
+        done = live["dtau"] >= live["rem"]
+        if done.any() and not retire(done, True):
+            break
+        done = collide(live.pop("dtau"))
+        rnd += 1
+        if done is not None and done.any() and not retire(done, False):
+            break
+
+
+def numpy_collide(kind, live, dtau, params):
+    """The drivers' numpy collisions, in their operation order; KD returns
+    its substep normals."""
+    mean, sd = params.eps * params.u, math.sqrt(params.temperature)
+    if kind == ORACLE:
+        w = normal_keyed(live["keys"], live["ctr"])
+        w *= sd
+        w += mean
+        live["ctr"] += np.uint64(1)
+        w /= params.eps
+        w *= dtau
+        live["x"] += w
+        live["rem"] -= dtau
+        return None
+    live["x"] += (live["v"] / params.eps) * dtau
+    if kind == KINETIC:
+        live["rem"] -= dtau
+    v = normal_keyed(live["keys"], live["ctr"])
+    v *= sd
+    v += mean
+    live["v"] = v
+    live["ctr"] += np.uint64(1)
+    if kind == KD:
+        z = normal_keyed(live["keys"], live["ctr"])
+        live["ctr"] += np.uint64(1)
+        return z
+    return None
+
+
+def numpy_kinetic(params, x0, v0, duration, seed, ctr0):
+    n = x0.size
+    scale = params.eps * params.eps / params.sigma
+    out_x = x0 + (v0 / params.eps) * duration
+    out_v, out_coll = v0.copy(), np.zeros(n, dtype=np.int64)
+    out_first, out_last = np.full(n, float(duration)), np.full(n, float(duration))
+    live = {"keys": stream_keys(seed, np.arange(n, dtype=np.uint64)), "ctr": ctr0.copy(),
+            "rem": np.full(n, float(duration)), "x": x0.copy(), "v": v0}
+
+    def finish(fin, slots, rnd, tail):
+        vf = live["v"][fin]
+        out_x[slots] = live["x"][fin] + (vf / params.eps) * tail
+        out_v[slots] = vf
+        out_coll[slots] = rnd
+        out_first[slots] = live["first"][fin]
+        out_last[slots] = tail
+
+    def collide(dtau):
+        live.setdefault("first", dtau)
+        numpy_collide(KINETIC, live, dtau, params)
+
+    numpy_lockstep(live, scale, finish, collide)
+    return out_x, out_v, out_coll, out_first, out_last
+
+
+def numpy_remainder(dtau, dt, left):
+    theta = dt - dtau
+    left -= 1
+    far = np.flatnonzero(dtau >= dt)
+    if far.size:
+        dtau_far = dtau[far]
+        j = np.minimum((dtau_far // dt).astype(np.int64), left[far])
+        theta[far] = dt - (dtau_far - j * dt)
+        left[far] -= j
+    np.maximum(theta, 0.0, out=theta)
+    return np.minimum(theta, dt, out=theta)
+
+
+def numpy_kd(params, x0, v0, dt, n_steps, seed, ctr0):
+    n = x0.size
+    out_x = x0 + (v0 / params.eps) * (n_steps * dt)
+    out_v, out_coll = v0.copy(), np.zeros(n, dtype=np.int64)
+    live = {"keys": stream_keys(seed, np.arange(n, dtype=np.uint64)), "ctr": ctr0.copy(),
+            "rem": np.full(n, n_steps * dt), "left": np.full(n, n_steps, dtype=np.int64),
+            "x": x0.copy(), "v": v0.copy()}
+
+    def finish(fin, slots, rnd, tail):
+        x, v = live["x"][fin], live["v"][fin]
+        out_x[slots] = x if tail is None else x + (v / params.eps) * tail
+        out_v[slots] = v
+        out_coll[slots] = rnd
+
+    def collide(dtau):
+        theta = numpy_remainder(dtau, dt, live["left"])
+        z = numpy_collide(KD, live, dtau, params)
+        mean, var = conditioned_mean_var(params, theta, live["v"])
+        live["x"] += np.sqrt(var) * z + mean
+        live["rem"] = live["left"] * dt
+        return live["left"] == 0
+
+    numpy_lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
+    return out_x, out_v, out_coll
+
+
+def numpy_oracle(params, durations, v_final, seed, ctr0):
+    n = durations.size
+    live = {"keys": stream_keys(seed, np.arange(n, dtype=np.uint64)), "ctr": ctr0.copy(),
+            "rem": durations.copy(), "x": np.zeros(n), "vf": v_final}
+    out = np.zeros(n) + (v_final / params.eps) * durations
+
+    def finish(fin, slots, rnd, tail):
+        out[slots] = live["x"][fin] + (live["vf"][fin] / params.eps) * tail
+
+    numpy_lockstep(live, params.eps * params.eps / params.sigma, finish,
+                   lambda dtau: numpy_collide(ORACLE, live, dtau, params))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# one kernel at a time
+
+
+def addr(a):
+    return a.ctypes.data
+
+
+def population(n, seed=3):
+    rng = np.random.default_rng(seed)
+    return {"keys": stream_keys(seed, np.arange(n, dtype=np.uint64)),
+            "ctr": rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+            "rem": rng.uniform(0.0, 1.0, n), "x": rng.normal(size=n), "v": rng.normal(size=n)}
+
+
+def copy_of(live):
+    return {name: a.copy() for name, a in live.items()}
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_flights(n):
+    live = population(n)
+    lg = np.log(np.random.default_rng(n).uniform(2.0**-53, 1.0, n))
+    scale, done = 0.37, np.empty(n, dtype=np.bool_)
+    want = np.negative(lg) * scale
+    live["rem"][::3] = want[::3]  # a flight that exactly reaches its remaining time is done
+    ctr = live["ctr"].copy()
+    count = _draws.flights(addr(live["rem"]), addr(lg), addr(ctr), addr(done), scale, n)
+    assert same_bits(lg, want)
+    assert np.array_equal(ctr, live["ctr"] + np.uint64(1))
+    assert np.array_equal(done, want >= live["rem"]) and count == done.sum()
+
+
+@pytest.mark.parametrize("kind", [KINETIC, ORACLE, KD], ids=["kinetic", "oracle", "kd"])
+@pytest.mark.parametrize("n", SIZES)
+def test_collide(kind, n):
+    live = population(n)
+    dtau = np.random.default_rng(n + 1).exponential(0.3, n)
+    want = copy_of(live)
+    z_want = numpy_collide(kind, want, dtau, PARAMS)
+    z = np.empty(n)
+    collision(kind, live, dtau, PARAMS, z)
+    for name in live:
+        assert same_bits(live[name], want[name]), name
+    if kind == KD:
+        assert same_bits(z, z_want)
+
+
+@pytest.mark.parametrize("kind,unused", [(ORACLE, "v"), (KD, "rem")], ids=["oracle", "kd"])
+def test_collide_without_unused_columns(kind, unused):
+    # the oracle has no "v" and KD leaves "rem" alone: those may be absent
+    live, dtau = population(300), np.full(300, 0.25)
+    want = copy_of(live)
+    numpy_collide(kind, want, dtau, PARAMS)
+    del live[unused]
+    collision(kind, live, dtau, PARAMS, np.empty(300))
+    for name in live:
+        assert same_bits(live[name], want[name]), name
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1, 0.3, 1.0 / 3.0])
+def test_collision_remainder(dt):
+    # the clamp to [0, dt] now runs on the flights past dt alone
+    rng = np.random.default_rng(8)
+    k = rng.integers(0, 6, 4000)
+    edge = k * dt + rng.integers(-3, 4, 4000) * np.spacing(dt * np.maximum(k, 1))
+    dtau = np.abs(np.concatenate([rng.exponential(dt, 4000), edge, [0.0, dt, 5e-324]]))
+    left = rng.integers(1, 5, dtau.size)
+    left_want = left.copy()
+    want = numpy_remainder(dtau, dt, left_want)
+    assert same_bits(_collision_remainder(dtau, dt, left), want)
+    assert np.array_equal(left, left_want)
+    assert ((0.0 <= want) & (want <= dt)).all()
+
+
+def test_normals_match_the_uniforms_through_scipy():
+    live = population(1000)
+    u = np.empty(1000)
+    _draws.uniforms(addr(live["keys"]), addr(live["ctr"]), 0.5, addr(u), u.size)
+    assert same_bits(normal_keyed(live["keys"], live["ctr"]), scipy_ndtri(u))
+
+
+def compact(done, cols, slots, fresh):
+    ptrs = (ctypes.c_void_p * (len(cols) + 1))(*(addr(a) for a in (*cols, slots)))
+    return _draws.compact(addr(done), done.size, ptrs, len(cols), fresh)
+
+
+MASKS = {
+    "all-done": lambda n, rng: np.ones(n, dtype=np.bool_),
+    "none-done": lambda n, rng: np.zeros(n, dtype=np.bool_),
+    "alternating": lambda n, rng: np.arange(n) % 2 == 0,
+    "random": lambda n, rng: rng.random(n) < 0.5,
+    "few-done": lambda n, rng: rng.random(n) < 0.01,
+}
+
+
+@pytest.mark.parametrize("mask", sorted(MASKS))
+@pytest.mark.parametrize("n", SIZES)
+def test_compact(mask, n):
+    rng = np.random.default_rng(n)
+    done = MASKS[mask](n, rng)
+    cols = [rng.normal(size=n), rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+            rng.integers(-9, 9, n)]
+    before = [a.copy() for a in cols]
+    keep = ~done
+    # fresh: the slots become the kept positions
+    slots = np.full(n, -1, dtype=np.int64)
+    left = compact(done, cols, slots, True)
+    assert left == keep.sum()
+    assert np.array_equal(slots[:left], np.flatnonzero(keep))
+    for a, b in zip(cols, before):
+        assert same_bits(a[:left], b[keep])
+    # later rounds: the slots are compacted as a column
+    slots = rng.permutation(n).astype(np.int64)
+    want = slots[keep]
+    cols = [b.copy() for b in before]
+    assert compact(done, cols, slots, False) == left
+    assert np.array_equal(slots[:left], want)
+    for a, b in zip(cols, before):
+        assert same_bits(a[:left], b[keep])
+
+
+class TestNdtriBlocks:
+    """ndtri runs blocks of 256; the tails are gathered per block."""
+
+    def check(self, u):
+        x = np.array(u, dtype=np.float64)
+        _draws.ndtri(addr(x), x.size)
+        assert same_bits(x, scipy_ndtri(u))
+
+    @pytest.mark.parametrize("at", [0, 254, 255, 256, 257, 511, 512])
+    def test_tail_at_block_edges(self, at):
+        u = np.full(800, 0.5)
+        u[at] = 1e-5
+        u[at + 1] = 1.0 - 1e-5
+        self.check(u)
+
+    def test_all_tail_blocks(self):
+        rng = np.random.default_rng(4)
+        u = np.concatenate([rng.uniform(0.0, 0.1, 300), rng.uniform(0.9, 1.0, 300)])
+        self.check(u)
+
+    def test_far_tail_blocks(self):
+        # u < e^-32 takes the x >= 8 rational; only some blocks hold one
+        rng = np.random.default_rng(5)
+        u = rng.uniform(0.0, 1.0, 1024)
+        u[[3, 300, 767]] = math.exp(-32.0) * np.array([0.5, 1e-20, 0.999])
+        u[600] = 1.0 - 2.0**-53
+        u[[0, 1023]] = 0.0, 1.0
+        self.check(u)
+
+
+# ---------------------------------------------------------------------------
+# whole ensembles against the numpy engine
+
+
+@pytest.fixture
+def interleaved():
+    # the kernels run outside the GIL, so chunks draw concurrently; more
+    # threads than cores and a short switch interval interleave them
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield (1, 2, 4)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("horizon,least,most", ROUND_ZERO_POPULATIONS)
+@pytest.mark.parametrize("n", [40, 257])
+def test_kinetic_ensemble_matches_numpy_engine(horizon, least, most, n, interleaved):
+    p, x0, v0, ctr0 = round_zero_inputs(n)
+    want = numpy_kinetic(p, x0, v0, horizon, 9, ctr0)
+    for threads in interleaved:
+        for chunk in (7, 1 << 16):
+            got = kinetic_ensemble(p, x0, v0, horizon, 9, ctr0=ctr0, threads=threads, chunk=chunk)
+            for a, b in zip((got.x, got.v, got.collisions, got.first_overlap, got.last_overlap),
+                            want):
+                assert same_bits(a, b)
+    if n == 40:
+        assert least <= np.count_nonzero(want[2]) <= most
+
+
+@pytest.mark.parametrize("horizon,least,most", ROUND_ZERO_POPULATIONS)
+@pytest.mark.parametrize("n", [40, 257])
+def test_kd_ensemble_matches_numpy_engine(horizon, least, most, n, interleaved):
+    p, x0, v0, ctr0 = round_zero_inputs(n)
+    n_steps = 4
+    dt = horizon / n_steps
+    want = numpy_kd(p, x0, v0, dt, n_steps, 9, ctr0)
+    for threads in interleaved:
+        for chunk in (7, 1 << 16):
+            got = kd_ensemble(p, x0, v0, dt, n_steps, 9, ctr0=ctr0, threads=threads, chunk=chunk)
+            for a, b in zip((got.x, got.v, got.collisions), want):
+                assert same_bits(a, b)
+    if n == 40:
+        assert least <= np.count_nonzero(want[2]) <= most
+
+
+HORIZONS = [pytest.param(p.values[0], id=p.id) for p in ROUND_ZERO_POPULATIONS]
+
+
+@pytest.mark.parametrize("horizon", HORIZONS)
+@pytest.mark.parametrize("n", [40, 257])
+def test_oracle_matches_numpy_engine(horizon, n, interleaved):
+    p, _, v_final, ctr0 = round_zero_inputs(n)
+    durations = np.full(n, horizon)
+    durations[::5] *= 0.5  # per-path durations
+    want = numpy_oracle(p, durations, v_final, 9, ctr0)
+    for threads in interleaved:
+        for chunk in (7, 1 << 16):
+            got = conditioned_increment_ensemble(p, durations, v_final, seed=9, ctr0=ctr0,
+                                                 threads=threads, chunk=chunk)
+            assert same_bits(got, want)
+
+
+def test_inputs_are_not_written():
+    p, x0, v0, ctr0 = round_zero_inputs(257)
+    saved = [a.copy() for a in (x0, v0, ctr0)]
+    kinetic_ensemble(p, x0, v0, 0.3, 9, ctr0=ctr0)
+    kd_ensemble(p, x0, v0, 0.1, 3, 9, ctr0=ctr0)
+    conditioned_increment_ensemble(p, 0.3, v0, n=257, seed=9, ctr0=ctr0)
+    for a, b in zip((x0, v0, ctr0), saved):
+        assert same_bits(a, b)

@@ -17,7 +17,7 @@ from kdmc import (
     var_unconditioned,
     verify_paper_constants,
 )
-from kdmc.moments import _kernel_table, conditioned_mean_var
+from kdmc.moments import A_SMALL, _kernel_table, conditioned_mean_var
 
 P_UNIT = BackgroundParams(1.0, 0.0, 1.0, 1.0)
 P_DRIFT = BackgroundParams(1.0, 1.0, 1.0, 1.0)
@@ -238,6 +238,29 @@ class TestKernels:
         for k in (k1, k2, k3, k4):
             assert np.all(np.isfinite(k))
             assert np.all(k >= 0.0)
+
+    def test_variance_kernels_nonnegative_across_the_switch(self):
+        # conditioned_mean_var takes no clamp: k3 and k4 must be >= +0 at
+        # every a, above all where the closed forms cancel, just past the
+        # switch from the series at A_SMALL. Both grow with a, so a dense
+        # sweep there, every double next to the switch, and a log sweep of
+        # the whole range pin it.
+        near = np.linspace(0.5 * A_SMALL, 4.0 * A_SMALL, 1 << 20)
+        edge = A_SMALL + np.arange(-(1 << 12), 1 << 12) * np.spacing(A_SMALL)
+        wide = np.concatenate([[0.0, 5e-324], np.logspace(-320, 300, 200_001)])
+        for a in (near, edge, wide):
+            (_, _, k3, k4), _ = _kernel_table(a)
+            for k in (k3, k4):
+                assert np.all(k >= 0.0) and not np.signbit(k).any()
+        assert (edge < A_SMALL).any() and (edge >= A_SMALL).any()
+
+    def test_conditioned_variance_nonnegative(self):
+        # the same sweep through conditioned_mean_var, at several final velocities
+        p = BackgroundParams(1.0, 0.7, 1.0, 0.3)
+        theta = np.linspace(0.5, 4.0, 200_001) * A_SMALL * p.eps**2 / p.sigma
+        for v_final in (0.0, p.eps * p.u, -3.0, 8.0):
+            _, var = conditioned_mean_var(p, theta, v_final)
+            assert np.all(var >= 0.0) and not np.signbit(var).any()
 
 
 class TestPaperConstants:
