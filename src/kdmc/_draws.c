@@ -139,17 +139,77 @@ ptrdiff_t flights(const double *rem, double *dtau, uint64_t *ctr, _Bool *done, d
     return count;
 }
 
+/* The series switch of the moment kernels; moments.A_SMALL reads it. */
+const double A_SMALL = 1e-3;
+
+/* The kernels of moments._kernel_table at a >= 0, from ea = e^-a, into k[0],
+ * k[s], k[2s], k[3s]: e^-a - 1 + a, 1 - e^-a, 1 - 2a e^-a - e^-2a and
+ * 2e^-a + a + a e^-a - 2, each from its series below A_SMALL, where the
+ * closed forms cancel. */
+static inline void kernel(double a, double ea, double *k, ptrdiff_t s)
+{
+    double e2a = ea * ea, a3 = a * a * a;
+    _Bool small = a < A_SMALL;
+    k[0] = small ? a * a * (1.0 / 2 + a * (-1.0 / 6 + a * (1.0 / 24 + a * (-1.0 / 120 + a / 720))))
+                 : ea - 1.0 + a;
+    k[s] = small ? a * (1.0 + a * (-1.0 / 2 + a * (1.0 / 6 + a * (-1.0 / 24 + a / 120)))) : 1.0 - ea;
+    k[2 * s] = small ? a3 * (1.0 / 3 + a * (-1.0 / 3 + a * (11.0 / 60 - a * 13.0 / 180)))
+                     : 1.0 - 2.0 * a * ea - e2a;
+    k[3 * s] = small ? a3 * (1.0 / 6 + a * (-1.0 / 12 + a * (1.0 / 40 - a / 180)))
+                     : 2.0 * ea + a + a * ea - 2.0;
+}
+
+/* the kernels k[c n + i] of a[i], c = 0..3, given ea[i] = e^-a[i] */
+void kernels(const double *a, const double *ea, double *k, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        kernel(a[i], ea[i], k + i, n);
+}
+
+/* A KD collision's constants, from moments._substep_constants */
+struct kd { double dt, sigma, eps2, u, rate_scale, diffusive; };
+
+/* A KD round's step bookkeeping after the flights dtau, before np.exp: a
+ * flight spans j = dtau // dt more steps, at most left - 1; left drops by
+ * 1 + j, rem becomes the remainder theta of the step it ends in, clamped to
+ * [0, dt] against rounding at the grid edge (below dt the clamp changes
+ * nothing), and nega = -a = -(sigma theta / eps^2). */
+void kd_steps(const struct kd *kd, const double *dtau, int64_t *left, double *rem, double *nega,
+              ptrdiff_t n)
+{
+    const struct kd c = *kd;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        /* dtau // dt exactly: dtau >= 0, and the rounded quotient may reach the
+         * next whole number; the sign of the fma is exact */
+        int64_t q = (int64_t)(dtau[i] / c.dt);
+        q -= fma((double)-q, c.dt, dtau[i]) < 0.0;
+        int64_t j = q < left[i] - 1 ? q : left[i] - 1;
+        double theta = c.dt - (dtau[i] - (double)j * c.dt);
+        theta = theta > 0.0 ? theta : 0.0;
+        theta = theta < c.dt ? theta : c.dt;
+        rem[i] = theta;
+        left[i] -= 1 + j;
+        nega[i] = -(c.sigma * theta / c.eps2);
+    }
+}
+
 enum { KINETIC, ORACLE, KD };
 
 /* One collision of each particle after its flight dtau, per block: the
  * normal z at its counter, then KINETIC: x += (v / eps) dtau, rem -= dtau,
  * v = z sd + mean; ORACLE: x += ((z sd + mean) / eps) dtau, rem -= dtau;
- * KD: x += (v / eps) dtau, v = z sd + mean, z2 = the next counter's normal.
- * The counters step past what was drawn. */
-void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, double *x,
-             double *v, double *rem, double *z2, double eps, double sd, double mean, ptrdiff_t n)
+ * KD, after kd_steps and np.exp: x += (v / eps) dtau, v = z sd + mean, then
+ * the substep x += sqrt(var) z2 + m on the next counter's normal z2, with
+ * the mean m and variance var of moments.conditioned_mean_var at theta =
+ * rem, given v and ea = e^-a; rem = left dt and done flags left == 0. The
+ * counters step past what was drawn. Returns the number done. */
+ptrdiff_t collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, double *x,
+                  double *v, double *rem, const int64_t *left, const double *ea, _Bool *done,
+                  const struct kd *kd, double eps, double sd, double mean, ptrdiff_t n)
 {
     double z[BATCH];
+    ptrdiff_t count = 0;
+    const struct kd c = kind == KD ? *kd : (struct kd){0};
     for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
         int m = BLOCK(n, lo);
         normals(keys + lo, ctr + lo, z, m);
@@ -164,12 +224,24 @@ void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, 
                 rem[i] -= dtau[i];
             ctr[i] += 1;
         }
-        if (kind == KD) {
-            normals(keys + lo, ctr + lo, z2 + lo, m);
-            for (ptrdiff_t i = lo; i < lo + m; i++)
-                ctr[i] += 1;
+        if (kind != KD)
+            continue;
+        normals(keys + lo, ctr + lo, z, m);
+        for (ptrdiff_t i = lo; i < lo + m; i++) {
+            double k[4], drift = v[i] / eps - c.u;
+            kernel(c.sigma * rem[i] / c.eps2, ea[i], k, 1);
+            double mi = c.u * rem[i] + drift * c.rate_scale * k[1];
+            double var = c.diffusive * k[3] + drift * drift * c.rate_scale * c.rate_scale * k[2];
+            x[i] += sqrt(var) * z[i - lo] + mi;
+            rem[i] = (double)left[i] * c.dt;
+        }
+        for (ptrdiff_t i = lo; i < lo + m; i++) { /* apart, so the substep vectorizes */
+            ctr[i] += 1;
+            done[i] = left[i] == 0;
+            count += done[i];
         }
     }
+    return count;
 }
 
 /* Drops the particles flagged done from k columns of 8-byte values, in

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 
+_POINT_STRIDE = 1 << 34  # grid point i draws from streams [i, i + 1) * _POINT_STRIDE
+
+
 class ConfigError(Exception):
     exit_code = 2
 
@@ -147,6 +150,8 @@ def _validate(cfg):
         raise MalformedConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
     if cfg.experiment != "constants-check" and cfg.particles <= 0:
         raise MalformedConfigError(f"particles must be positive, got {cfg.particles}")
+    if cfg.particles > _POINT_STRIDE:  # one stream each, inside one grid point's window
+        raise MalformedConfigError(f"particles must be at most {_POINT_STRIDE}, got {cfg.particles}")
     if cfg.threads < 1:
         raise MalformedConfigError(f"threads must be >= 1, got {cfg.threads}")
     for name in ("sigma", "temperature", "eps", "dt", "t_end"):

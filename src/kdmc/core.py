@@ -11,9 +11,10 @@ are compositions of them kept for the benchmark tracer, which wraps them.
 
 The draw arithmetic lives in `_draws.c`, compiled on first import: the
 splitmix64 stream keys and hash, the two uniform maps, a port of the
-cephes `ndtri` that `scipy.special.ndtri` runs, bit for bit, and the
-lockstep engine's per-round kernels. `exponential_keyed` and the engine's
-flights keep `np.log` in numpy, on the C uniforms.
+cephes `ndtri` that `scipy.special.ndtri` runs, bit for bit, the
+lockstep engine's per-round kernels and the moment kernels. `log` and `exp`
+stay in numpy: `exponential_keyed` and the engine's flights take `np.log`
+of the C uniforms, and a KD collision takes one `np.exp` (see `kd.py`).
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
         ("stream_keys", (ctypes.c_uint64, p, p, n), None), ("uniforms", (p, p, f, p, n), None),
         ("normals", (p, p, p, n), None), ("ndtri", (p, n), None),
         ("flights", (p, p, p, p, f, n), n), ("compact", (p, n, p, i, i), n),
-        ("collide", (i, p, p, p, p, p, p, p, f, f, f, n), None),
+        ("collide", (i, p, p, p, p, p, p, p, p, p, p, f, f, f, n), n),
+        ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
     ):
         getattr(draws, fn).argtypes, getattr(draws, fn).restype = args, res
     return draws
@@ -330,13 +332,16 @@ def _addr(a):
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def collision(kind, live, dtau, params, z2=None):
+def collision(kind, live, dtau, params, kd=None, ea=None, done=None):
     """One C pass of collisions after the flights dtau: `kind` KINETIC, ORACLE
-    or KD picks the move (see `_draws.c`); KD writes its substep normals to z2."""
-    cols = dict(live, dtau=dtau, z2=z2)
-    _draws.collide(kind, *(None if cols.get(name) is None else _addr(cols[name])
-                           for name in ("keys", "ctr", "dtau", "x", "v", "rem", "z2")),
-                   params.eps, math.sqrt(params.temperature), params.eps * params.u, dtau.size)
+    or KD picks the move (see `_draws.c`). KD also takes its substep: the
+    constants kd, live["left"], ea = e^-a and the mask done, which it flags;
+    it returns the number done."""
+    cols = dict(live, dtau=dtau, ea=ea, done=done)
+    return _draws.collide(
+        kind, *(None if cols.get(name) is None else _addr(cols[name])
+                for name in ("keys", "ctr", "dtau", "x", "v", "rem", "left", "ea", "done")),
+        kd, params.eps, math.sqrt(params.temperature), params.eps * params.u, dtau.size)
 
 
 def lockstep(live, scale, finish, collide):
@@ -354,11 +359,12 @@ def lockstep(live, scale, finish, collide):
     only its flight draw and keeps those presets. From round 1 on,
     finish(fin, slots, r, tail) gets a finishing particle's live positions,
     its output slots and tail = rem[fin], the length of its last flight. The
-    others collide: collide(dtau) moves them and draws what the driver needs
-    (dtau is live["dtau"], lockstep's buffer). It may return a mask of
-    particles that are done at that collision; they get
-    finish(fin, slots, r + 1, None). A round where some particle finishes
-    drops them from every array in one order-keeping C pass.
+    others collide: collide(dtau, done) moves them and draws what the
+    driver needs (dtau is live["dtau"] and done a mask, lockstep's buffers).
+    It may flag in done the particles that are done at that collision and
+    return their number; they get finish(fin, slots, r + 1, None). A round
+    where some particle finishes drops them from every array in one
+    order-keeping C pass.
     """
     t_loop = time.perf_counter()
     n = live["rem"].size
@@ -396,9 +402,9 @@ def lockstep(live, scale, finish, collide):
         count = _draws.flights(_addr(live["rem"]), _addr(dtau), _addr(ctr), _addr(done), scale, m)
         if count and not retire(done, count, True):
             break
-        done = collide(live["dtau"])
+        done = done_buf[:live["rem"].size]
+        count = collide(live["dtau"], done)
         rnd += 1
-        count = 0 if done is None else np.count_nonzero(done)
         if count and not retire(done, count, False):
             break
     return time.perf_counter() - t_loop

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .config import emit_csv
+from .config import _POINT_STRIDE, emit_csv
 from .core import BackgroundParams, normal_from_counter, step_count, uniform_open_closed
 from .kd import kd_ensemble, random_walk_ensemble
 from .kinetic import kinetic_ensemble
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 # disjoint stream ranges for the independent draw families of one point
-_POINT_STRIDE = 1 << 34
 _SIDE_OFFSET = 1 << 60
 _PERMUTE_OFFSET = 3 << 60
 

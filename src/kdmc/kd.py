@@ -10,12 +10,13 @@ move and the clock jumps to the end of the step containing the collision.
 
 `kd_ensemble` runs the same draws on a population through
 `core.lockstep`. A collision moves the particle by its flight, draws its
-new velocity and then the Gaussian substep's normal, and ends the
-particle's run when the step holding it was the last one.
+new velocity, takes the Gaussian substep and ends the particle's run when
+the step holding it was the last one, all in C but for one np.exp.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ import numpy as np
 from .core import (
     KD,
     ParticleState,
+    _addr,
+    _draws,
     collision,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.exponential_keyed
     finite,
@@ -37,7 +40,7 @@ from .core import (
     stream_keys,
     whole_steps,
 )
-from .moments import conditioned_mean_var
+from .moments import _substep_constants, conditioned_mean_var
 
 __all__ = [
     "KdStepRecord",
@@ -151,24 +154,15 @@ class KdEnsemble:
         return int(self.collisions.sum())
 
 
-def _collision_remainder(dtau, dt, left):
-    """Remainder theta of the step in which each flight dtau ends; `left`,
-    the steps not yet started, drops in place by the steps the flight took.
-
-    Same arithmetic as `simulate_kd`. dtau // dt is exactly 0 below dt, so
-    only the longer flights are divided; the shorter ones leave theta =
-    dt - dtau in (0, dt], where the clamp to [0, dt] changes nothing.
-    """
-    theta = dt - dtau
-    left -= 1
-    far = np.flatnonzero(dtau >= dt)
-    if far.size:
-        dtau_far = dtau[far]
-        j = np.minimum((dtau_far // dt).astype(np.int64), left[far])
-        # rounding at the grid edge can leave theta a few ulp outside [0, dt]
-        theta[far] = np.minimum(np.maximum(dt - (dtau_far - j * dt), 0.0), dt)
-        left[far] -= j
-    return theta
+def _kd_collision(live, dtau, params, kd, ea, done):
+    """One KD collision of each live particle after its flight dtau, as
+    `simulate_kd` takes it: `kd_steps` (the step it ends in, theta and -a),
+    numpy's exp into the scratch ea, and `collide` (the move, the velocity
+    and the substep). Flags in done, and counts, the particles whose last
+    step it was."""
+    _draws.kd_steps(kd, _addr(dtau), _addr(live["left"]), _addr(live["rem"]), _addr(ea), dtau.size)
+    np.exp(ea, out=ea)
+    return collision(KD, live, dtau, params, kd, ea=ea, done=done)
 
 
 def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
@@ -188,6 +182,7 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
         "x": x0.copy(),
         "v": v0.copy(),
     }
+    kd, ea = (ctypes.c_double * 6)(*_substep_constants(params, dt)), np.empty(n)
 
     def finish(fin, slots, rnd, tail):
         x, v = live["x"][fin], live["v"][fin]
@@ -195,24 +190,9 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
         out_v[slots] = v
         out_coll[slots] = rnd
 
-    # the round's temporaries stay bound until the next round replaces them:
-    # released together at return, they let malloc trim the heap top, and
-    # the next round's kernel table faults it back in page by page
-    theta = z = mean = var = None
-
-    def collide(dtau):
-        nonlocal theta, z, mean, var
-        theta = _collision_remainder(dtau, dt, live["left"])
-        z = np.empty_like(dtau)
-        collision(KD, live, dtau, params, z)  # the move, the new velocity and the substep normal
-        mean, var = conditioned_mean_var(params, theta, live["v"])
-        np.sqrt(var, out=var)
-        var *= z
-        var += mean
-        live["x"] += var
-        np.multiply(live["left"], dt, out=live["rem"])
+    def collide(dtau, done):
         # the scalar loop draws nothing further after the last step either
-        return live["left"] == 0
+        return _kd_collision(live, dtau, params, kd, ea[:dtau.size], done)
 
     return lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
 

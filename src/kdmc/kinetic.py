@@ -179,7 +179,7 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0, out):
         out_first[slots] = live["first"][fin]
         out_last[slots] = tail
 
-    def collide(dtau):
+    def collide(dtau, done):
         if "first" not in live:
             live["first"] = dtau.copy()  # the round-0 flight
         collision(KINETIC, live, dtau, params)

@@ -9,9 +9,12 @@ variance is pure cancellation in naive arithmetic.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import _draws
 
 __all__ = [
     "mean_unconditioned",
@@ -40,37 +43,32 @@ VELOCITY_INTEGRAL = 1.3545
 HERMITE_W1_NORM = 1.51
 K4_CONSTANT = 18.3
 
-A_SMALL = 1e-3
+A_SMALL = ctypes.c_double.in_dll(_draws, "A_SMALL").value  # the series switch
 
 
 def _kernel_table(a):
     """The four exponential kernels at a >= 0, series-patched below A_SMALL.
 
     Returns (e^-a - 1 + a, 1 - e^-a, 1 - 2a e^-a - e^-2a,
-    2 e^-a + a + a e^-a - 2) and a scalar-input flag. One shared pair of
-    exponentials serves all four.
+    2 e^-a + a + a e^-a - 2) and a scalar-input flag. One np.exp serves all
+    four; the rest is `kernels` in `_draws.c`, which KD collisions share.
     """
     a = np.asarray(a, dtype=np.float64)
     scalar = a.ndim == 0
-    if scalar:
-        a = a.reshape(1)
+    a = np.ascontiguousarray(a.reshape(1) if scalar else a)
     if a.size and float(a.min()) < 0:
         raise ValueError("negative duration")
     ea = np.exp(-a)
-    e2a = ea * ea
-    k1 = ea - 1.0 + a
-    k2 = 1.0 - ea
-    k3 = 1.0 - 2.0 * a * ea - e2a
-    k4 = 2.0 * ea + a + a * ea - 2.0
-    small = a < A_SMALL
-    if np.any(small):
-        s = a[small]
-        s3 = s * s * s
-        k1[small] = s * s * (1.0 / 2 + s * (-1.0 / 6 + s * (1.0 / 24 + s * (-1.0 / 120 + s / 720))))
-        k2[small] = s * (1.0 + s * (-1.0 / 2 + s * (1.0 / 6 + s * (-1.0 / 24 + s / 120))))
-        k3[small] = s3 * (1.0 / 3 + s * (-1.0 / 3 + s * (11.0 / 60 - s * 13.0 / 180)))
-        k4[small] = s3 * (1.0 / 6 + s * (-1.0 / 12 + s * (1.0 / 40 - s / 180)))
-    return (k1, k2, k3, k4), scalar
+    k = np.empty((4, *a.shape))
+    _draws.kernels(a.ctypes.data, ea.ctypes.data, k.ctypes.data, a.size)
+    return tuple(k), scalar
+
+
+def _substep_constants(params, dt):
+    """dt, sigma, eps^2, u, eps^2 / sigma and 2 T (eps / sigma)^2: the
+    constants of conditioned_mean_var, and `struct kd` of `_draws.c`."""
+    return (dt, params.sigma, params.eps * params.eps, params.u, params.eps**2 / params.sigma,
+            2.0 * params.temperature * (params.eps / params.sigma) ** 2)
 
 
 def mean_unconditioned(params, dt):
@@ -103,8 +101,7 @@ def conditioned_mean_var(params, dt, v_final):
     dt = np.asarray(dt, dtype=np.float64)
     (_, k2, k3, k4), scalar = _kernel_table(params.collisionality(dt))
     drift = np.asarray(v_final, dtype=np.float64) / params.eps - params.u
-    rate_scale = params.eps**2 / params.sigma
-    diffusive = 2.0 * params.temperature * (params.eps / params.sigma) ** 2
+    rate_scale, diffusive = _substep_constants(params, dt)[4:]
     mean = params.u * dt + drift * rate_scale * k2
     var = diffusive * k4 + drift * drift * rate_scale * rate_scale * k3
     if scalar and mean.ndim == 1 and mean.shape[0] == 1 and np.ndim(v_final) == 0:

@@ -60,7 +60,7 @@ def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0, out):
         out[slots] = live["x"][fin] + (live["vf"][fin] / params.eps) * tail
 
     lockstep(live, params.eps * params.eps / params.sigma, finish,
-             lambda dtau: collision(ORACLE, live, dtau, params))
+             lambda dtau, done: collision(ORACLE, live, dtau, params))
 
 
 def conditioned_increment_ensemble(

@@ -28,14 +28,16 @@ GOLDEN = {
 }
 
 
-def test_every_config_has_a_digest():
-    assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(GOLDEN)
+# no shipped config takes more than one KD step (histogram.json has dt =
+# t_end = 1), so this histogram run takes 100: at eps = 1 its substeps fall
+# on both sides of the kernels' series switch. Recorded before the KD
+# collision moved into C.
+MULTISTEP = ("histogram.json", {"dt": 0.01, "t_end": 1.0, "eps_list": [0.1, 0.3, 1.0]},
+             "e2af99f4f40c6aba44a1fc0f636ebdcfdc71d385fcb2a675a6e2a6e9214a7719")
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_csv_bytes_match_golden(name, tmp_path):
-    doc = json.loads((CONFIGS / name).read_text())
-    doc["measure_time"] = False
+def csv_digest(name, tmp_path, **overrides):
+    doc = {**json.loads((CONFIGS / name).read_text()), **overrides, "measure_time": False}
     config = tmp_path / name
     config.write_text(json.dumps(doc))
     out = tmp_path / "out.csv"
@@ -43,4 +45,18 @@ def test_csv_bytes_match_golden(name, tmp_path):
             "--particles", str(PARTICLES)]
     # a self-check may miss its gate at this size; it still writes its CSV
     assert cli.main(argv) in (0, cli.EXIT_CHECK)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_every_config_has_a_digest():
+    assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_bytes_match_golden(name, tmp_path):
+    assert csv_digest(name, tmp_path) == GOLDEN[name]
+
+
+def test_multistep_kd_bytes_match_golden(tmp_path):
+    name, overrides, digest = MULTISTEP
+    assert csv_digest(name, tmp_path, **overrides) == digest

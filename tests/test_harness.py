@@ -335,6 +335,23 @@ class TestCli:
         for out in (tmp_path / "no" / "x.csv", tmp_path):
             assert cli.main(["constants-check", "--seed", "1", "--out", str(out)]) == 5
 
+    def test_particles_beyond_a_stream_window_fail_first(self, monkeypatch, tmp_path):
+        from kdmc import experiments as exps
+
+        # more particles than the 2**34 streams of one grid point would
+        # overlap the next point's streams: exit 2 before any compute
+        def no_compute(config):
+            raise AssertionError("the experiment ran before particles were checked")
+
+        monkeypatch.setattr(exps, "run_experiment", no_compute)
+        out = str(tmp_path / "x.csv")
+        for experiment in EXPERIMENTS:
+            argv = [experiment, "--seed", "1", "--out", out, "--particles"]
+            assert cli.main([*argv, str(2**34 + 1)]) == 2
+            assert cli.main([*argv, str(2**34)]) == cli.EXIT_RUNTIME  # valid: it reaches the run
+        with pytest.raises(MalformedConfigError, match="at most"):
+            config_from_dict({"experiment": "histogram", "seed": 1, "particles": 2**40})
+
     def test_self_check_failure_exit_code(self, monkeypatch, tmp_path):
         from kdmc import experiments as exps
 

@@ -1,6 +1,7 @@
-"""The lockstep engine's C kernels (flights, collide, compact, normals and
-ndtri) against test-local copies of the numpy code they replaced, bit for
-bit, one kernel at a time and as whole ensembles."""
+"""The lockstep engine's C kernels (flights, collide, kd_steps, compact,
+normals, ndtri and the moment kernels) against test-local copies of the
+numpy code they replaced, bit for bit, one kernel at a time and as whole
+ensembles."""
 
 import ctypes
 import math
@@ -21,9 +22,9 @@ from kdmc.core import (
     normal_keyed,
     stream_keys,
 )
-from kdmc.kd import _collision_remainder, kd_ensemble
+from kdmc.kd import _kd_collision, kd_ensemble
 from kdmc.kinetic import kinetic_ensemble
-from kdmc.moments import conditioned_mean_var
+from kdmc.moments import A_SMALL, _kernel_table, _substep_constants
 from kdmc.oracles import conditioned_increment_ensemble
 from conftest import ROUND_ZERO_POPULATIONS, round_zero_inputs, same_bits
 
@@ -134,6 +135,40 @@ def numpy_remainder(dtau, dt, left):
     return np.minimum(theta, dt, out=theta)
 
 
+def numpy_kernel_table(a):
+    """The four moment kernels with numpy's series patch below 1e-3."""
+    ea = np.exp(-a)
+    e2a = ea * ea
+    k = [ea - 1.0 + a, 1.0 - ea, 1.0 - 2.0 * a * ea - e2a, 2.0 * ea + a + a * ea - 2.0]
+    small = a < 1e-3
+    s = a[small]
+    s3 = s * s * s
+    k[0][small] = s * s * (1.0 / 2 + s * (-1.0 / 6 + s * (1.0 / 24 + s * (-1.0 / 120 + s / 720))))
+    k[1][small] = s * (1.0 + s * (-1.0 / 2 + s * (1.0 / 6 + s * (-1.0 / 24 + s / 120))))
+    k[2][small] = s3 * (1.0 / 3 + s * (-1.0 / 3 + s * (11.0 / 60 - s * 13.0 / 180)))
+    k[3][small] = s3 * (1.0 / 6 + s * (-1.0 / 12 + s * (1.0 / 40 - s / 180)))
+    return k
+
+
+def numpy_mean_var(params, theta, v_final):
+    _, k2, k3, k4 = numpy_kernel_table(params.collisionality(theta))
+    drift = v_final / params.eps - params.u
+    rate_scale = params.eps**2 / params.sigma
+    diffusive = 2.0 * params.temperature * (params.eps / params.sigma) ** 2
+    mean = params.u * theta + drift * rate_scale * k2
+    return mean, diffusive * k4 + drift * drift * rate_scale * rate_scale * k3
+
+
+def numpy_kd_collide(live, dtau, params, dt):
+    """kd_ensemble's numpy collision; returns the done mask."""
+    theta = numpy_remainder(dtau, dt, live["left"])
+    z = numpy_collide(KD, live, dtau, params)
+    mean, var = numpy_mean_var(params, theta, live["v"])
+    live["x"] += np.sqrt(var) * z + mean
+    live["rem"] = live["left"] * dt
+    return live["left"] == 0
+
+
 def numpy_kd(params, x0, v0, dt, n_steps, seed, ctr0):
     n = x0.size
     out_x = x0 + (v0 / params.eps) * (n_steps * dt)
@@ -148,15 +183,8 @@ def numpy_kd(params, x0, v0, dt, n_steps, seed, ctr0):
         out_v[slots] = v
         out_coll[slots] = rnd
 
-    def collide(dtau):
-        theta = numpy_remainder(dtau, dt, live["left"])
-        z = numpy_collide(KD, live, dtau, params)
-        mean, var = conditioned_mean_var(params, theta, live["v"])
-        live["x"] += np.sqrt(var) * z + mean
-        live["rem"] = live["left"] * dt
-        return live["left"] == 0
-
-    numpy_lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
+    numpy_lockstep(live, params.eps * params.eps / params.sigma, finish,
+                   lambda dtau: numpy_kd_collide(live, dtau, params, dt))
     return out_x, out_v, out_coll
 
 
@@ -207,46 +235,135 @@ def test_flights(n):
     assert np.array_equal(done, want >= live["rem"]) and count == done.sum()
 
 
+def kd_constants(params, dt):
+    return (ctypes.c_double * 6)(*_substep_constants(params, dt))
+
+
+def kd_steps(dtau, dt, left, params=PARAMS):
+    """The C step pass alone: returns theta and -a; left drops in place."""
+    theta, nega = np.empty_like(dtau), np.empty_like(dtau)
+    _draws.kd_steps(kd_constants(params, dt), addr(dtau), addr(left), addr(theta), addr(nega),
+                    dtau.size)
+    return theta, nega
+
+
+def kd_collision(live, dtau, params, dt):
+    """The C KD collision; returns the done mask and its count."""
+    done = np.empty(dtau.size, dtype=np.bool_)
+    count = _kd_collision(live, dtau, params, kd_constants(params, dt), np.empty(dtau.size), done)
+    return done, count
+
+
 @pytest.mark.parametrize("kind", [KINETIC, ORACLE, KD], ids=["kinetic", "oracle", "kd"])
 @pytest.mark.parametrize("n", SIZES)
 def test_collide(kind, n):
     live = population(n)
     dtau = np.random.default_rng(n + 1).exponential(0.3, n)
+    if kind == KD:
+        live["left"] = np.random.default_rng(n + 2).integers(1, 6, n)  # some clamps bind
     want = copy_of(live)
-    z_want = numpy_collide(kind, want, dtau, PARAMS)
-    z = np.empty(n)
-    collision(kind, live, dtau, PARAMS, z)
+    if kind == KD:
+        dt = 0.1
+        done_want = numpy_kd_collide(want, dtau, PARAMS, dt)
+        done, count = kd_collision(live, dtau, PARAMS, dt)
+        assert np.array_equal(done, done_want) and count == done_want.sum()
+    else:
+        numpy_collide(kind, want, dtau, PARAMS)
+        collision(kind, live, dtau, PARAMS)
     for name in live:
         assert same_bits(live[name], want[name]), name
-    if kind == KD:
-        assert same_bits(z, z_want)
 
 
-@pytest.mark.parametrize("kind,unused", [(ORACLE, "v"), (KD, "rem")], ids=["oracle", "kd"])
+@pytest.mark.parametrize("kind,unused", [(ORACLE, "v")], ids=["oracle"])
 def test_collide_without_unused_columns(kind, unused):
-    # the oracle has no "v" and KD leaves "rem" alone: those may be absent
+    # the oracle has no "v": it may be absent
     live, dtau = population(300), np.full(300, 0.25)
     want = copy_of(live)
     numpy_collide(kind, want, dtau, PARAMS)
     del live[unused]
-    collision(kind, live, dtau, PARAMS, np.empty(300))
+    collision(kind, live, dtau, PARAMS)
     for name in live:
         assert same_bits(live[name], want[name]), name
 
 
+def step_edges(dt, k, rng):
+    # flights within 3 ulp of whole steps k dt
+    return np.abs(k * dt + rng.integers(-3, 4, k.size) * np.spacing(dt * np.maximum(k, 1)))
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.1, 0.3, 1.0 / 3.0])
 def test_collision_remainder(dt):
-    # the clamp to [0, dt] now runs on the flights past dt alone
     rng = np.random.default_rng(8)
-    k = rng.integers(0, 6, 4000)
-    edge = k * dt + rng.integers(-3, 4, 4000) * np.spacing(dt * np.maximum(k, 1))
-    dtau = np.abs(np.concatenate([rng.exponential(dt, 4000), edge, [0.0, dt, 5e-324]]))
+    edge = step_edges(dt, rng.integers(0, 6, 4000), rng)
+    dtau = np.concatenate([rng.exponential(dt, 4000), edge, [0.0, dt, 5e-324]])
     left = rng.integers(1, 5, dtau.size)
     left_want = left.copy()
     want = numpy_remainder(dtau, dt, left_want)
-    assert same_bits(_collision_remainder(dtau, dt, left), want)
+    theta, nega = kd_steps(dtau, dt, left)
+    assert same_bits(theta, want)
     assert np.array_equal(left, left_want)
+    assert same_bits(nega, np.negative(PARAMS.collisionality(want)))
+    # both clamps bind: theta = 0 where left cuts a flight short, and theta
+    # = dt at dtau = 0 and at whole steps
     assert ((0.0 <= want) & (want <= dt)).all()
+    assert (want == 0.0).any() and (want == dt).any()
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1, 0.3, 1.0 / 3.0, 0.7, 1e-5])
+def test_step_quotient_is_numpy_floor_divide(dt):
+    # with left far off, a flight's steps show its quotient: left drops by
+    # 1 + dtau // dt, also where the rounded dtau / dt reaches the next whole
+    # number and its floor is one too many
+    rng = np.random.default_rng(11)
+    k = np.concatenate([np.arange(0, 2000), rng.integers(0, 1 << 20, 4000)])
+    dtau = np.concatenate([step_edges(dt, k, rng), k * dt, np.nextafter(k * dt, 0.0),
+                           rng.exponential(50 * dt, 4000)])
+    left = np.full(dtau.size, 1 << 40)
+    kd_steps(dtau, dt, left)
+    want = np.floor_divide(dtau, dt)
+    assert np.array_equal((1 << 40) - 1 - left, want.astype(np.int64))
+    assert (np.floor(dtau / dt) != want).any()
+
+
+def test_kd_collision_edges_in_one_block():
+    # sigma = eps = 1 makes a = theta, and dt = 2 A_SMALL makes theta = dt -
+    # dtau exact: a within 4 ulp of A_SMALL takes both kernel branches and
+    # the switch itself, in one block of 256 with flights at whole steps
+    # +- 3 ulp, theta = 0 (the left clamp) and theta = dt (dtau = 0)
+    p = BackgroundParams(1.0, 0.7, 2.0, 1.0)
+    dt = 2.0 * A_SMALL
+    rng = np.random.default_rng(12)
+    near = dt - (A_SMALL + np.arange(-4, 5) * np.spacing(A_SMALL))
+    edge = step_edges(dt, np.repeat(np.arange(1, 4), 7), rng)
+    dtau = np.concatenate([near, edge, [0.0, 5.0 * dt], rng.exponential(dt, 256 - 32)])
+    live = population(256)
+    live["left"] = np.full(256, 4)
+    live["left"][31] = 2  # the flight of 5 dt is cut short
+    want = copy_of(live)
+    left = want["left"].copy()
+    theta = numpy_remainder(dtau, dt, left)
+    a = p.collisionality(theta)
+    assert (a < A_SMALL).any() and (a == A_SMALL).any() and (a > A_SMALL).any()
+    assert theta[31] == 0.0 and theta[30] == dt and (left == 0).any()
+    done_want = numpy_kd_collide(want, dtau, p, dt)
+    done, count = kd_collision(live, dtau, p, dt)
+    assert np.array_equal(done, done_want) and count == done_want.sum()
+    for name in live:
+        assert same_bits(live[name], want[name]), name
+
+
+def test_kernel_table_matches_numpy():
+    assert A_SMALL == 1e-3
+    edge = A_SMALL + np.arange(-4096, 4097) * np.spacing(A_SMALL)
+    wide = np.concatenate([[0.0, 5e-324], np.logspace(-320, 300, 20_001)])
+    for a in (edge, wide, edge[::-7].reshape(1, -1)):
+        kernels, scalar = _kernel_table(a)
+        assert not scalar
+        for k, want in zip(kernels, numpy_kernel_table(a)):
+            assert same_bits(k, want)
+    kernels, scalar = _kernel_table(A_SMALL)
+    assert scalar and all(same_bits(k, w) for k, w in
+                          zip(kernels, numpy_kernel_table(np.array([A_SMALL]))))
 
 
 def test_normals_match_the_uniforms_through_scipy():
