@@ -103,8 +103,8 @@ static void ndtri_block(double *u, int n)
     }
     for (int i = 0; i < n; i++) {
         double c = u[i] - 0.5, c2 = c * c;
-        double x = (c + c * (c2 * polevl(c2, P0, 4) / polevl(c2, Q0, 8))) * 2.50662827463100050242E0;
-        u[i] = (u[i] > EXPM2) & (u[i] <= 1.0 - EXPM2) ? x : u[i];
+        double xc = (c + c * (c2 * polevl(c2, P0, 4) / polevl(c2, Q0, 8))) * 2.50662827463100050242E0;
+        u[i] = (u[i] > EXPM2) & (u[i] <= 1.0 - EXPM2) ? xc : u[i];
     }
 }
 
@@ -201,14 +201,14 @@ enum { KINETIC, ORACLE, KD };
  * KD, after kd_steps and np.exp: x += (v / eps) dtau, v = z sd + mean, then
  * the substep x += sqrt(var) z2 + m on the next counter's normal z2, with
  * the mean m and variance var of moments.conditioned_mean_var at theta =
- * rem, given v and ea = e^-a; rem = left dt and done flags left == 0. The
- * counters step past what was drawn. Returns the number done. */
-ptrdiff_t collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, double *x,
-                  double *v, double *rem, const int64_t *left, const double *ea, _Bool *done,
-                  const struct kd *kd, double eps, double sd, double mean, ptrdiff_t n)
+ * rem, given v and ea = e^-a; rem = left dt, so a particle past its last
+ * step has no time left and finishes at its next flight. The counters
+ * step past what was drawn. */
+void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, double *x,
+             double *v, double *rem, const int64_t *left, const double *ea, const struct kd *kd,
+             double eps, double sd, double mean, ptrdiff_t n)
 {
     double z[BATCH];
-    ptrdiff_t count = 0;
     const struct kd c = kind == KD ? *kd : (struct kd){0};
     for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
         int m = BLOCK(n, lo);
@@ -234,14 +234,9 @@ ptrdiff_t collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *d
             double var = c.diffusive * k[3] + drift * drift * c.rate_scale * c.rate_scale * k[2];
             x[i] += sqrt(var) * z[i - lo] + mi;
             rem[i] = (double)left[i] * c.dt;
-        }
-        for (ptrdiff_t i = lo; i < lo + m; i++) { /* apart, so the substep vectorizes */
             ctr[i] += 1;
-            done[i] = left[i] == 0;
-            count += done[i];
         }
     }
-    return count;
 }
 
 /* Drops the particles flagged done from k columns of 8-byte values, in
@@ -261,7 +256,7 @@ ptrdiff_t compact(const _Bool *done, ptrdiff_t n, uint64_t *const *cols, int k, 
             uint64_t values[BATCH]; /* then moved down: the gather reads ahead of m */
             for (ptrdiff_t j = 0; j < kept; j++)
                 values[j] = c == k && fresh ? (uint64_t)at[j] : cols[c][at[j]];
-            memmove(cols[c] + m, values, kept * sizeof *values);
+            memmove(cols[c] + m, values, (size_t)kept * sizeof *values);
         }
         m += kept;
     }

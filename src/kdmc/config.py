@@ -34,6 +34,8 @@ __all__ = [
 
 
 _POINT_STRIDE = 1 << 34  # grid point i draws from streams [i, i + 1) * _POINT_STRIDE
+# a fixed cap, not the machine's core count, so a config's validity is portable
+_MAX_THREADS = 64
 
 
 class ConfigError(Exception):
@@ -152,8 +154,8 @@ def _validate(cfg):
         raise MalformedConfigError(f"particles must be positive, got {cfg.particles}")
     if cfg.particles > _POINT_STRIDE:  # one stream each, inside one grid point's window
         raise MalformedConfigError(f"particles must be at most {_POINT_STRIDE}, got {cfg.particles}")
-    if cfg.threads < 1:
-        raise MalformedConfigError(f"threads must be >= 1, got {cfg.threads}")
+    if not 1 <= cfg.threads <= _MAX_THREADS:
+        raise MalformedConfigError(f"threads must be in [1, {_MAX_THREADS}], got {cfg.threads}")
     for name in ("sigma", "temperature", "eps", "dt", "t_end"):
         if getattr(cfg, name) <= 0:
             raise MalformedConfigError(f"{name} must be positive")

@@ -103,7 +103,7 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
         ("stream_keys", (ctypes.c_uint64, p, p, n), None), ("uniforms", (p, p, f, p, n), None),
         ("normals", (p, p, p, n), None), ("ndtri", (p, n), None),
         ("flights", (p, p, p, p, f, n), n), ("compact", (p, n, p, i, i), n),
-        ("collide", (i, p, p, p, p, p, p, p, p, p, p, f, f, f, n), n),
+        ("collide", (i, p, p, p, p, p, p, p, p, p, f, f, f, n), None),
         ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
     ):
         getattr(draws, fn).argtypes, getattr(draws, fn).restype = args, res
@@ -281,16 +281,32 @@ def sample_maxwellian(params, rng):
     return params.eps * params.u + np.sqrt(params.temperature) * rng.normal()
 
 
+def _uint64(name, values):
+    # values as uint64; raises ValueError unless they are integers in [0, 2**64)
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must have an integer dtype, got {values.dtype}")
+    if values.dtype.kind == "i" and (values < 0).any():
+        raise ValueError(f"{name} must be in [0, 2**64), got a negative value")
+    return values.astype(np.uint64, copy=False)
+
+
 def stream_inputs(n, stream_lo, ctr0):
     """Stream ids stream_lo + i and starting counters of n particles.
 
-    ctr0 is None (every particle starts at counter 0), one counter for all,
-    or one counter per particle; any other shape raises ValueError.
+    stream_lo is an integer and the streams lie in [0, 2**64). ctr0 is None
+    (every particle starts at counter 0), one counter for all, or one
+    counter per particle, of an integer dtype in [0, 2**64); anything else
+    raises ValueError.
     """
-    streams = np.arange(stream_lo, stream_lo + n, dtype=np.uint64)
+    lo = _uint64("stream_lo", stream_lo)
+    if lo.ndim or int(lo) + n > 2**64:
+        raise ValueError(f"streams stream_lo + i for i < {n} must lie in [0, 2**64), "
+                         f"got stream_lo = {stream_lo!r}")
+    streams = np.arange(int(lo), int(lo) + n, dtype=np.uint64)
     if ctr0 is None:
         return streams, np.zeros(n, dtype=np.uint64)
-    ctr0 = np.asarray(ctr0, dtype=np.uint64)
+    ctr0 = _uint64("ctr0", ctr0)
     if ctr0.shape not in ((), (n,)):
         raise ValueError(
             f"ctr0 must be one counter or one per particle ({n}), got shape {ctr0.shape}"
@@ -332,55 +348,57 @@ def _addr(a):
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def collision(kind, live, dtau, params, kd=None, ea=None, done=None):
+def collision(kind, live, dtau, params, kd=None, ea=None):
     """One C pass of collisions after the flights dtau: `kind` KINETIC, ORACLE
     or KD picks the move (see `_draws.c`). KD also takes its substep: the
-    constants kd, live["left"], ea = e^-a and the mask done, which it flags;
-    it returns the number done."""
-    cols = dict(live, dtau=dtau, ea=ea, done=done)
-    return _draws.collide(
+    constants kd, live["left"] and ea = e^-a."""
+    cols = dict(live, dtau=dtau, ea=ea)
+    _draws.collide(
         kind, *(None if cols.get(name) is None else _addr(cols[name])
-                for name in ("keys", "ctr", "dtau", "x", "v", "rem", "left", "ea", "done")),
+                for name in ("keys", "ctr", "dtau", "x", "v", "rem", "left", "ea")),
         kd, params.eps, math.sqrt(params.temperature), params.eps * params.u, dtau.size)
 
 
-def lockstep(live, scale, finish, collide):
-    """Run a particle population to the end in lockstep rounds; returns the
-    wall seconds of the loop.
+def lockstep(live, params, out_x, collide, finish=None):
+    """Run a particle population to the end in lockstep rounds and write
+    each particle's final position into out_x; returns the wall seconds of
+    the loop, which exclude the preset.
 
     `live` maps names to equal-length arrays over the particles still
-    running: at least "keys" (stream keys), "ctr" (next counters) and "rem"
-    (time left). They go to C as they are, so they are the driver's own,
-    contiguous and of 8-byte types; lockstep compacts them in place. In
-    round r every live particle draws its flight dtau = scale * Exp(1) at
-    its next counter. A particle whose flight reaches its remaining time
-    finishes with r collisions. The driver presets every output to the
-    result without collisions, so a particle that finishes in round 0 costs
-    only its flight draw and keeps those presets. From round 1 on,
-    finish(fin, slots, r, tail) gets a finishing particle's live positions,
-    its output slots and tail = rem[fin], the length of its last flight. The
-    others collide: collide(dtau, done) moves them and draws what the
-    driver needs (dtau is live["dtau"] and done a mask, lockstep's buffers).
-    It may flag in done the particles that are done at that collision and
-    return their number; they get finish(fin, slots, r + 1, None). A round
-    where some particle finishes drops them from every array in one
-    order-keeping C pass.
+    running: at least "keys" (stream keys), "ctr" (next counters), "rem"
+    (time left), "x" and "v". They go to C as they are, so they are the
+    driver's own, contiguous and of 8-byte types; lockstep compacts them in
+    place. In round r every live particle draws its flight dtau = (eps^2 /
+    sigma) Exp(1) at its next counter. Time left is the only exit: a
+    particle whose flight reaches rem finishes with r collisions at
+    x + (v / eps) tail, where tail = rem is its last flight. out_x is preset
+    to that position for r = 0, so a round-0 finisher costs only its flight
+    draw. From round 1 on, finish(fin, slots, r, tail), if given, gets the
+    finishers' live positions and output slots, for the driver's other
+    outputs. The others collide: collide(dtau) moves them (dtau is
+    live["dtau"], lockstep's buffer), and one it leaves with rem = 0
+    finishes at its next flight. A round where some particle finishes drops
+    them from every array in one order-keeping C pass.
     """
+    eps, n = params.eps, live["rem"].size
+    np.multiply(np.divide(live["v"], eps, out=out_x), live["rem"], out=out_x)  # no temporary
+    out_x += live["x"]
     t_loop = time.perf_counter()
-    n = live["rem"].size
     live["dtau"] = np.empty(n)
     done_buf = np.empty(n, dtype=np.bool_)
     slots = None  # each live particle's output slot; None while none has left
     rnd = 0
 
-    def retire(done, count, flew):
+    def retire(done, count):
         # finish the `count` flagged particles and drop them; False once none is left
         nonlocal slots
         m = done.size
         if rnd:
             fin = slice(None) if count == m else np.flatnonzero(done)
-            finish(fin, fin if slots is None else slots[fin], rnd,
-                   live["rem"][fin] if flew else None)
+            out, tail = fin if slots is None else slots[fin], live["rem"][fin]
+            out_x[out] = live["x"][fin] + (live["v"][fin] / eps) * tail
+            if finish:
+                finish(fin, out, rnd, tail)
         if count == m:
             return False
         fresh = slots is None
@@ -399,14 +417,12 @@ def lockstep(live, scale, finish, collide):
         ctr, dtau, done = live["ctr"], live["dtau"], done_buf[:m]
         _draws.uniforms(_addr(live["keys"]), _addr(ctr), 1.0, _addr(dtau), m)
         np.log(dtau, out=dtau)
-        count = _draws.flights(_addr(live["rem"]), _addr(dtau), _addr(ctr), _addr(done), scale, m)
-        if count and not retire(done, count, True):
+        count = _draws.flights(_addr(live["rem"]), _addr(dtau), _addr(ctr), _addr(done),
+                               eps * eps / params.sigma, m)
+        if count and not retire(done, count):
             break
-        done = done_buf[:live["rem"].size]
-        count = collide(live["dtau"], done)
+        collide(live["dtau"])
         rnd += 1
-        if count and not retire(done, count, False):
-            break
     return time.perf_counter() - t_loop
 
 

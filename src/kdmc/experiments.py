@@ -26,9 +26,7 @@ from .moments import (
     bound_high_collisional,
     bound_low_conditioned,
     conditioned_mean_var,
-    mean_conditioned,
     mean_unconditioned,
-    var_conditioned,
     var_unconditioned,
     verify_paper_constants,
 )
@@ -217,7 +215,8 @@ def run_single_step_high(config):
         z = normal_from_counter(
             config.seed, lo + _SIDE_OFFSET + np.arange(n, dtype=np.uint64), np.uint64(1)
         )
-        dx_kd = mean_conditioned(params, dt, v_kd) + np.sqrt(var_conditioned(params, dt, v_kd)) * z
+        mean_kd, var_kd = conditioned_mean_var(params, dt, v_kd)
+        dx_kd = mean_kd + np.sqrt(var_kd) * z
         w1 = w1_sorted(dx_kin, dx_kd)
         floor = _permutation_floor(
             np.concatenate([dx_kin, dx_kd]),
@@ -395,8 +394,7 @@ def run_moments_check(config):
                         threads=config.threads,
                     )
                     mom = sample_moments(dx)
-                    mean_ref = mean_conditioned(params, dt, v_final)
-                    var_ref = var_conditioned(params, dt, v_final)
+                    mean_ref, var_ref = conditioned_mean_var(params, dt, v_final)
                     mean_ok = abs(mom.mean - mean_ref) <= 4 * mom.se_mean
                     var_ok = abs(mom.variance - var_ref) <= 4 * mom.se_variance
                     ok = ok and mean_ok and var_ok

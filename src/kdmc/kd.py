@@ -10,8 +10,10 @@ move and the clock jumps to the end of the step containing the collision.
 
 `kd_ensemble` runs the same draws on a population through
 `core.lockstep`. A collision moves the particle by its flight, draws its
-new velocity, takes the Gaussian substep and ends the particle's run when
-the step holding it was the last one, all in C but for one np.exp.
+new velocity, takes the Gaussian substep and sets the particle's time left
+to the steps it has not started, all in C but for one np.exp. A particle
+past its last step has no time left: its next flight finishes it with a
+tail of 0, as every particle leaves the engine, on a flight.
 """
 
 from __future__ import annotations
@@ -154,24 +156,22 @@ class KdEnsemble:
         return int(self.collisions.sum())
 
 
-def _kd_collision(live, dtau, params, kd, ea, done):
+def _kd_collision(live, dtau, params, kd, ea):
     """One KD collision of each live particle after its flight dtau, as
     `simulate_kd` takes it: `kd_steps` (the step it ends in, theta and -a),
     numpy's exp into the scratch ea, and `collide` (the move, the velocity
-    and the substep). Flags in done, and counts, the particles whose last
-    step it was."""
+    and the substep). A particle whose last step it was is left with rem =
+    0."""
     _draws.kd_steps(kd, _addr(dtau), _addr(live["left"]), _addr(live["rem"]), _addr(ea), dtau.size)
     np.exp(ea, out=ea)
-    return collision(KD, live, dtau, params, kd, ea=ea, done=done)
+    collision(KD, live, dtau, params, kd, ea=ea)
 
 
 def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
     n = x0.shape[0]
-    # out: this chunk's slices of the ensemble's x, v and collisions, preset
-    # to the results of a particle without collisions
+    # out: this chunk's slices of the ensemble's x, v and collisions; lockstep
+    # writes x, the rest start at the results of a particle without collisions
     out_x, out_v, out_coll = out
-    np.multiply(np.divide(v0, params.eps, out=out_x), n_steps * dt, out=out_x)  # no temporary
-    out_x += x0
     out_v[:] = v0
     out_coll[:] = 0
     live = {
@@ -185,16 +185,11 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
     kd, ea = (ctypes.c_double * 6)(*_substep_constants(params, dt)), np.empty(n)
 
     def finish(fin, slots, rnd, tail):
-        x, v = live["x"][fin], live["v"][fin]
-        out_x[slots] = x if tail is None else x + (v / params.eps) * tail
-        out_v[slots] = v
+        out_v[slots] = live["v"][fin]
         out_coll[slots] = rnd
 
-    def collide(dtau, done):
-        # the scalar loop draws nothing further after the last step either
-        return _kd_collision(live, dtau, params, kd, ea[:dtau.size], done)
-
-    return lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
+    return lockstep(live, params, out_x,
+                    lambda dtau: _kd_collision(live, dtau, params, kd, ea[:dtau.size]), finish)
 
 
 def kd_ensemble(

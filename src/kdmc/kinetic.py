@@ -155,10 +155,9 @@ class KineticEnsemble:
 def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0, out):
     n = x0.shape[0]
     # out: this chunk's slices of the ensemble's x, v, collisions, first and
-    # last overlap, preset to the results of a particle without collisions
+    # last overlap; lockstep writes x, the rest start at the results of a
+    # particle without collisions
     out_x, out_v, out_coll, out_first, out_last = out
-    np.multiply(np.divide(v0, params.eps, out=out_x), duration, out=out_x)  # no temporary
-    out_x += x0
     out_v[:] = v0
     out_coll[:] = 0
     out_first[:] = duration
@@ -172,19 +171,17 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0, out):
     }
 
     def finish(fin, slots, rnd, tail):
-        vf = live["v"][fin]
-        out_x[slots] = live["x"][fin] + (vf / params.eps) * tail
-        out_v[slots] = vf
+        out_v[slots] = live["v"][fin]
         out_coll[slots] = rnd
         out_first[slots] = live["first"][fin]
         out_last[slots] = tail
 
-    def collide(dtau, done):
+    def collide(dtau):
         if "first" not in live:
             live["first"] = dtau.copy()  # the round-0 flight
         collision(KINETIC, live, dtau, params)
 
-    return lockstep(live, params.eps * params.eps / params.sigma, finish, collide)
+    return lockstep(live, params, out_x, collide, finish)
 
 
 def kinetic_ensemble(

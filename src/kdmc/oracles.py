@@ -44,23 +44,16 @@ class OracleMoments:
 
 
 def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0, out):
-    n = durations.shape[0]
+    # a path's live "v" is its pinned final velocity, which collisions leave
+    # alone; lockstep writes the increments into out, this chunk's slice
     live = {
         "keys": stream_keys(seed, streams),
         "ctr": ctr0.copy(),
         "rem": durations.copy(),
-        "x": np.zeros(n),
-        "vf": v_final.copy(),
+        "x": np.zeros(durations.shape[0]),
+        "v": v_final.copy(),
     }
-    # out, this chunk's slice of the increments, starts at the increment of
-    # a path without collisions
-    np.add(live["x"], (v_final / params.eps) * durations, out=out)
-
-    def finish(fin, slots, rnd, tail):
-        out[slots] = live["x"][fin] + (live["vf"][fin] / params.eps) * tail
-
-    lockstep(live, params.eps * params.eps / params.sigma, finish,
-             lambda dtau, done: collision(ORACLE, live, dtau, params))
+    lockstep(live, params, out, lambda dtau: collision(ORACLE, live, dtau, params))
 
 
 def conditioned_increment_ensemble(

@@ -17,10 +17,12 @@ from kdmc import kinetic as kinetic_module
 from kdmc import oracles as oracles_module
 from kdmc.core import (
     exponential_keyed,
+    lockstep,
     map_chunked,
     normal_from_counter,
     normal_keyed,
     step_count,
+    stream_inputs,
     stream_keys,
     uniform_open_closed,
 )
@@ -273,6 +275,44 @@ class TestChunking:
                 map_chunked(lambda lo, hi: None, n)
 
 
+class TestLockstep:
+    def test_time_left_is_the_only_exit(self):
+        # a numpy stub collide moves every particle by +1 and leaves particle
+        # k without time at its k-th collision; particles 0 and 3 finish on
+        # their round-0 flights
+        n = 6
+        p = BackgroundParams(2.0, 0.0, 1.0, 0.5)  # flights of (eps^2 / sigma) Exp(1)
+        keys = stream_keys(3, np.arange(n, dtype=np.uint64))
+        ctr0 = np.arange(n, dtype=np.uint64) * np.uint64(7)
+        first = exponential_keyed(keys, ctr0) * (p.eps * p.eps / p.sigma)
+        rem0 = np.full(n, 1e300)
+        rem0[[0, 3]] = first[[0, 3]] / 2
+        x0, v0 = np.arange(n) + 0.5, np.linspace(-1.0, 1.0, n)
+        live = {"keys": keys, "ctr": ctr0.copy(), "rem": rem0.copy(), "x": x0.copy(),
+                "v": v0.copy(), "id": np.arange(n)}
+        out_x = np.full(n, np.nan)
+        calls, finished = [], []
+
+        def collide(dtau):
+            calls.append(dtau.size)
+            live["x"] += 1.0
+            live["rem"][live["id"] == len(calls)] = 0.0
+
+        def finish(fin, slots, rnd, tail):
+            assert np.array_equal(live["id"][fin], slots)  # the original slots
+            finished.append((slots.tolist(), rnd, tail.tolist()))
+
+        lockstep(live, p, out_x, collide, finish)
+        assert calls == [4, 3, 2, 2, 1]
+        assert finished == [([1], 1, [0.0]), ([2], 2, [0.0]), ([4], 4, [0.0]), ([5], 5, [0.0])]
+        # a finisher with no time left stays where its last collision put it
+        for k in (1, 2, 4, 5):
+            assert out_x[k] == x0[k] + k
+        # round-0 finishers keep the preset x + (v / eps) rem
+        for k in (0, 3):
+            assert out_x[k] == x0[k] + (v0[k] / p.eps) * rem0[k] and out_x[k] != x0[k]
+
+
 class TestStepGrid:
     @pytest.mark.parametrize("span,dt,n", [(2.0, 0.5, 4), (0.3, 0.1, 3), (1.0, 1.0, 1)])
     def test_counts_whole_multiples(self, span, dt, n):
@@ -288,16 +328,17 @@ class TestStepGrid:
             step_count(span, dt)
 
 
-def _ensemble(name, x0=(0.0, 0.0, 0.0), v=(1.0, 1.0, 1.0), ctr0=None):
+def _ensemble(name, x0=(0.0, 0.0, 0.0), v=(1.0, 1.0, 1.0), ctr0=None, stream_lo=0):
     # three particles; v is v0, or v_final for the oracle
     p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
+    window = dict(seed=1, stream_lo=stream_lo, ctr0=ctr0)
     if name == "kinetic":
-        return kinetic_module.kinetic_ensemble(p, x0, v, 1.0, seed=1, ctr0=ctr0)
+        return kinetic_module.kinetic_ensemble(p, x0, v, 1.0, **window)
     if name == "kd":
-        return kd_module.kd_ensemble(p, x0, v, 0.5, 2, seed=1, ctr0=ctr0)
+        return kd_module.kd_ensemble(p, x0, v, 0.5, 2, **window)
     if name == "random-walk":
-        return kd_module.random_walk_ensemble(p, x0, 0.5, 2, seed=1, ctr0=ctr0)
-    return oracles_module.conditioned_increment_ensemble(p, 1.0, v, n=3, seed=1, ctr0=ctr0)
+        return kd_module.random_walk_ensemble(p, x0, 0.5, 2, **window)
+    return oracles_module.conditioned_increment_ensemble(p, 1.0, v, n=3, **window)
 
 
 class TestEnsembleInputs:
@@ -332,3 +373,31 @@ class TestEnsembleInputs:
     def test_rejects_ctr0_of_other_shapes(self, name, shape):
         with pytest.raises(ValueError, match="ctr0"):
             _ensemble(name, ctr0=np.zeros(shape, dtype=np.uint64))
+
+    @pytest.mark.parametrize("name", ["kinetic", "kd", "random-walk", "oracle"])
+    @pytest.mark.parametrize(
+        "ctr0",
+        [1.5, [0.5, 1.7, 2.0], np.float64(3.0), "3", True, -1,
+         np.array([-1, 0, 1], dtype=np.int64), 2**64],
+        ids=["float", "floats", "float64", "string", "bool", "negative", "negative-int64",
+             "past-2**64"],
+    )
+    def test_rejects_counters_that_are_not_uint64(self, name, ctr0):
+        # no truncation, no wrap: a counter is an integer in [0, 2**64)
+        with pytest.raises(ValueError, match="ctr0"):
+            _ensemble(name, ctr0=ctr0)
+
+    @pytest.mark.parametrize("name", ["kinetic", "kd", "random-walk", "oracle"])
+    @pytest.mark.parametrize("stream_lo", [-1, 2**64 - 2, 2**64, 0.0, "0"],
+                             ids=["negative", "past-2**64", "at-2**64", "float", "string"])
+    def test_rejects_stream_windows_outside_uint64(self, name, stream_lo):
+        with pytest.raises(ValueError, match="stream_lo"):
+            _ensemble(name, stream_lo=stream_lo)
+
+    def test_accepts_the_last_stream_window_and_counter(self):
+        top = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+        streams, ctr = stream_inputs(3, 2**64 - 3, top)
+        assert streams.tolist() == [2**64 - 3, 2**64 - 2, 2**64 - 1]
+        assert ctr.dtype == np.uint64 and ctr.tolist() == [0, 2**63, 2**64 - 1]
+        _, ctr = stream_inputs(3, np.uint64(5), np.int64(7))
+        assert ctr.dtype == np.uint64 and ctr.tolist() == [7, 7, 7]

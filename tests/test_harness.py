@@ -352,6 +352,23 @@ class TestCli:
         with pytest.raises(MalformedConfigError, match="at most"):
             config_from_dict({"experiment": "histogram", "seed": 1, "particles": 2**40})
 
+    def test_threads_beyond_the_cap_fail_first(self, monkeypatch, tmp_path):
+        import concurrent.futures
+
+        from kdmc import experiments as exps
+
+        # a thread count past the cap exits 2 before any pool or compute starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool or the experiment started before threads were checked")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(exps, "run_experiment", refuse)
+        out = str(tmp_path / "x.csv")
+        assert cli.main(["histogram", "--seed", "1", "--out", out, "--threads", "65"]) == 2
+        with pytest.raises(MalformedConfigError, match="threads"):
+            config_from_dict({"experiment": "histogram", "seed": 1, "threads": 65})
+        assert config_from_dict({"experiment": "histogram", "seed": 1, "threads": 64}).threads == 64
+
     def test_self_check_failure_exit_code(self, monkeypatch, tmp_path):
         from kdmc import experiments as exps
 
