@@ -73,12 +73,17 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     function of the seed. Rejection leaves the conditioned law unbiased.
     Candidates stay inside the point's window of _POINT_STRIDE streams; a
     point that would need more fails rather than reuse the next point's.
-    Returns (stream ids, displacement, first overlap, last overlap, final
-    velocity) of the accepted paths.
+    Each batch runs whole, as slices of at most threads << 16 candidates
+    whose inputs are views of one buffer, and the accepted paths go straight
+    into n-sized outputs: memory is O(threads * 2**16 + n) whatever the
+    acceptance rate. Returns (stream ids, displacement, first overlap, last
+    overlap, final velocity) of the accepted paths.
     """
     (_, k2, _, _), _ = _kernel_table(params.collisionality(dt))
     accept_p = max(float(k2[0]), 1e-12)
-    kept = []
+    width = threads << 16
+    x0, v0s = np.zeros(width), np.full(width, v0)
+    out = (np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n), np.empty(n), np.empty(n))
     got = 0
     next_candidate = 0
     while got < n:
@@ -89,23 +94,19 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
                 f"{n} paths with a collision at dt={dt} need more than the "
                 f"{_POINT_STRIDE} candidate streams of one grid point"
             )
-        first = stream_lo + next_candidate
-        next_candidate += want
-        ens = kinetic_ensemble(
-            params,
-            np.zeros(want),
-            np.full(want, v0),
-            dt,
-            seed,
-            stream_lo=first,
-            threads=threads,
-        )
-        keep = np.flatnonzero(ens.collisions)
-        kept.append((np.uint64(first) + keep.astype(np.uint64), ens.x[keep],
-                     ens.first_overlap[keep], ens.last_overlap[keep], ens.v[keep]))
-        got += keep.size
-    parts = [np.concatenate([k[i] for k in kept])[:n] for i in range(5)]
-    return tuple(parts)
+        end = next_candidate + want
+        for lo in range(next_candidate, end, width):
+            m = min(width, end - lo)
+            ens = kinetic_ensemble(params, x0[:m], v0s[:m], dt, seed,
+                                   stream_lo=stream_lo + lo, threads=threads)
+            keep = np.flatnonzero(ens.collisions)[:n - got]
+            new = slice(got, got + keep.size)
+            out[0][new] = np.uint64(stream_lo + lo) + keep.astype(np.uint64)
+            for dst, src in zip(out[1:], (ens.x, ens.first_overlap, ens.last_overlap, ens.v)):
+                dst[new] = src[keep]
+            got += keep.size
+        next_candidate = end
+    return out
 
 
 def _w1_point_vs_gaussian(mean, sd, point):

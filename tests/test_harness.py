@@ -271,6 +271,9 @@ class TestDeterminism:
             ("speedup", dict(particles=4000, collisionality_grid=[1.0, 10.0],
                              measure_time=False)),
             ("constants-check", dict()),
+            # about 115k candidates at dt = 0.01: more than one 2**16 slice
+            # of the rejection sampler at 1 thread, one 3 << 16 slice at 3
+            ("single-step-low", dict(particles=1000, dt_grid=[0.01, 0.1])),
         ],
     )
     def test_replay_and_threads_byte_identical(self, tmp_path, experiment, extra):
