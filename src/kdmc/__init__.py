@@ -10,7 +10,6 @@ from .config import ExperimentConfig, config_from_dict, emit_csv
 from .core import (
     BackgroundParams,
     ParticleState,
-    PiecewiseConstantField,
     RngStream,
     sample_maxwellian,
 )
@@ -27,13 +26,9 @@ from .kinetic import KineticStepRecord, kinetic_ensemble, sample_collision_time,
 from .metrics import HistogramSpec, fit_order, w1_sorted
 from .moments import (
     bound_high_collisional,
-    bound_low_collisional,
     bound_low_conditioned,
-    conditional_flighttime_pdf,
     final_flight_moments,
-    mean_conditioned,
     mean_unconditioned,
-    var_conditioned,
     var_unconditioned,
     verify_paper_constants,
 )
@@ -48,12 +43,9 @@ __all__ = [
     "KdStepRecord",
     "KineticStepRecord",
     "ParticleState",
-    "PiecewiseConstantField",
     "RngStream",
     "bound_high_collisional",
-    "bound_low_collisional",
     "bound_low_conditioned",
-    "conditional_flighttime_pdf",
     "conditioned_increment_ensemble",
     "config_from_dict",
     "diffusive_substep",
@@ -62,7 +54,6 @@ __all__ = [
     "fit_order",
     "kd_ensemble",
     "kinetic_ensemble",
-    "mean_conditioned",
     "mean_unconditioned",
     "random_walk_ensemble",
     "run_experiment",
@@ -71,7 +62,6 @@ __all__ = [
     "simulate_kd",
     "simulate_kinetic",
     "simulate_random_walk",
-    "var_conditioned",
     "var_unconditioned",
     "verify_paper_constants",
     "w1_sorted",

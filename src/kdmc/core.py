@@ -19,21 +19,19 @@ of the C uniforms, and a KD collision takes one `np.exp` (see `kd.py`).
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import ctypes
 import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BackgroundParams",
     "ParticleState",
-    "PiecewiseConstantField",
     "RngStream",
     "stream_keys",
     "uniform_open_closed",
@@ -223,10 +221,6 @@ class BackgroundParams:
         """Expected collisions in a step of length dt: sigma * dt / eps**2."""
         return self.sigma * dt / (self.eps * self.eps)
 
-    def params_at(self, x):
-        """Homogeneous lookup: the same parameters everywhere."""
-        return self
-
 
 @dataclass(frozen=True)
 class ParticleState:
@@ -239,41 +233,6 @@ class ParticleState:
     def __post_init__(self):
         if not (np.isfinite(self.x) and np.isfinite(self.v) and np.isfinite(self.t)):
             raise ValueError(f"non-finite particle state ({self.x}, {self.v}, {self.t})")
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantField:
-    """Piecewise-constant background: cells separated by sorted breakpoints.
-
-    len(breakpoints) == len(cells) - 1. Lookups outside the covered domain
-    clamp to the nearest cell, so params_at is total. A single-cell field is
-    observationally identical to using its BackgroundParams directly.
-    """
-
-    cells: tuple
-    breakpoints: tuple = field(default=())
-
-    def __post_init__(self):
-        cells = tuple(self.cells)
-        breaks = tuple(float(b) for b in self.breakpoints)
-        if len(cells) == 0:
-            raise ValueError("field needs at least one cell")
-        if len(breaks) != len(cells) - 1:
-            raise ValueError(
-                f"{len(cells)} cells need {len(cells) - 1} breakpoints, got {len(breaks)}"
-            )
-        if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if any(not np.isfinite(b) for b in breaks):
-            raise ValueError("breakpoints must be finite")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "breakpoints", breaks)
-
-    def cell_index(self, x):
-        return bisect.bisect_right(self.breakpoints, x)
-
-    def params_at(self, x):
-        return self.cells[self.cell_index(x)]
 
 
 def sample_maxwellian(params, rng):

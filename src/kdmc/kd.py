@@ -42,6 +42,7 @@ from .core import (
     stream_keys,
     whole_steps,
 )
+from .kinetic import sample_collision_time
 from .moments import _substep_constants, conditioned_mean_var
 
 __all__ = [
@@ -57,12 +58,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KdStepRecord:
-    """Outcome of a KD advance with kinetic/diffusive time bookkeeping."""
+    """Outcome of a KD advance."""
 
     final_state: ParticleState
     collisions_executed: int
-    diffusive_time: float
-    kinetic_time: float
 
 
 def _step_count(state_t, dt, t_end):
@@ -75,11 +74,10 @@ def diffusive_substep(v_next, theta, params, rng):
     """Gaussian displacement filling a remainder theta of the time step.
 
     Mean and variance are the kinetic moments conditioned on the final
-    velocity v_next, with the background parameters taken at the start of
-    the diffusive motion.
+    velocity v_next.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be nonnegative, got {theta}")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
     z = rng.normal()
     # theta = 0 gives mean 0 and variance 0, hence displacement exactly 0;
     # the draw is still consumed so counters stay aligned with kd_ensemble
@@ -87,7 +85,7 @@ def diffusive_substep(v_next, theta, params, rng):
     return mean + np.sqrt(var) * z
 
 
-def simulate_kd(state, dt, t_end, field, rng):
+def simulate_kd(state, dt, t_end, params, rng):
     """Advance one particle with the kinetic-diffusion scheme to t_end.
 
     t_end - state.t must be a whole number of steps dt; the step grid is
@@ -98,30 +96,21 @@ def simulate_kd(state, dt, t_end, field, rng):
     x, v = state.x, state.v
     n = 0
     collisions = 0
-    kinetic_time = 0.0
-    diffusive_time = 0.0
     while n < n_steps:
-        params = field.params_at(x)
         rem = (n_steps - n) * dt
-        dtau = rng.exponential() * (params.eps * params.eps / params.sigma)
+        dtau = sample_collision_time(params, rng)
         if dtau >= rem:
             x = x + (v / params.eps) * rem
-            kinetic_time += rem
-            n = n_steps
             break
         x = x + (v / params.eps) * dtau
-        kinetic_time += dtau
         j = min(int(dtau // dt), n_steps - n - 1)
         # rounding at the grid edge can leave theta a few ulp outside [0, dt]
         theta = min(max(dt - (dtau - j * dt), 0.0), dt)
-        local = field.params_at(x)
-        v_next = sample_maxwellian(local, rng)
-        x = x + diffusive_substep(v_next, theta, local, rng)
-        diffusive_time += theta
-        v = v_next
+        v = sample_maxwellian(params, rng)
+        x = x + diffusive_substep(v, theta, params, rng)
         collisions += 1
         n = n + j + 1
-    return KdStepRecord(ParticleState(x, v, t_end), collisions, diffusive_time, kinetic_time)
+    return KdStepRecord(ParticleState(x, v, t_end), collisions)
 
 
 def simulate_random_walk(state, dt, t_end, params, rng):

@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (
     KINETIC,
-    BackgroundParams,
     ParticleState,
     collision,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.exponential_keyed
@@ -45,57 +44,21 @@ class KineticStepRecord:
     flight_segments: list | None = None
 
 
-def _flight_time(budget, params):
-    # single expression shared by the homogeneous and cell-walk paths so a
-    # one-cell field reproduces the homogeneous draws bit for bit
-    return budget * (params.eps * params.eps / params.sigma)
+def sample_collision_time(params, rng):
+    """Sample a free-flight duration: (eps**2 / sigma) * E with E ~ Exp(1)."""
+    return rng.exponential() * (params.eps * params.eps / params.sigma)
 
 
-def sample_collision_time(state, field, rng):
-    """Sample the next free-flight duration from state.x onward.
-
-    Homogeneous case: (eps**2 / sigma) * E with E ~ Exp(1). Piecewise-
-    constant case: exact inversion of the path integral of the collision
-    rate, walking cells in the flight direction until the exponential
-    budget is spent. Always finite and positive because lookups clamp.
-    """
-    budget = rng.exponential()
-    if isinstance(field, BackgroundParams):
-        return _flight_time(budget, field)
-    cells, breaks = field.cells, field.breakpoints
-    if len(cells) == 1:
-        return _flight_time(budget, cells[0])
-    params0 = field.params_at(state.x)
-    speed = state.v / params0.eps
-    if speed == 0.0:
-        return _flight_time(budget, params0)
-    idx = field.cell_index(state.x)
-    x = state.x
-    elapsed = 0.0
-    step = 1 if speed > 0.0 else -1
-    while True:
-        params = cells[idx]
-        boundary_idx = idx if step > 0 else idx - 1
-        in_last_cell = boundary_idx < 0 or boundary_idx >= len(breaks)
-        if not in_last_cell:
-            t_cell = (breaks[boundary_idx] - x) / speed
-            spent = t_cell * params.sigma / (params.eps * params.eps)
-            if spent < budget:
-                budget -= spent
-                elapsed += t_cell
-                x = breaks[boundary_idx]
-                idx += step
-                continue
-        return elapsed + _flight_time(budget, params)
-
-
-def simulate_kinetic(state, t_end, field, rng, record_segments=False):
+def simulate_kinetic(state, t_end, params, rng, record_segments=False):
     """Advance one particle kinetically to t_end; free flight between
     collisions, Maxwellian velocity resampling at each collision.
 
     Pure function of (state, draws); the loop guard works on the remaining
-    time t_end - t so the clock never drifts.
+    time t_end - t so the clock never drifts. Segments are (duration,
+    velocity during the flight).
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < state.t:
         raise ValueError(f"t_end {t_end} precedes current time {state.t}")
     x, v = state.x, state.v
@@ -103,34 +66,15 @@ def simulate_kinetic(state, t_end, field, rng, record_segments=False):
     collisions = 0
     segments = [] if record_segments else None
     while remaining > 0.0:
-        dtau = sample_collision_time(ParticleState(x, v, t_end - remaining), field, rng)
+        dtau = min(sample_collision_time(params, rng), remaining)
+        x = x + (v / params.eps) * dtau
+        if record_segments:
+            segments.append((dtau, v))
         if dtau < remaining:
-            x = x + (v / field.params_at(x).eps) * dtau
-            v = sample_maxwellian(field.params_at(x), rng)
-            remaining = remaining - dtau
+            v = sample_maxwellian(params, rng)
             collisions += 1
-            if record_segments:
-                segments.append((dtau, v))
-        else:
-            x = x + (v / field.params_at(x).eps) * remaining
-            if record_segments:
-                segments.append((remaining, v))
-            remaining = 0.0
-    if record_segments and segments:
-        # segments store (duration, velocity DURING the flight)
-        segments = _shift_segment_velocities(segments, state.v)
+        remaining = remaining - dtau
     return KineticStepRecord(ParticleState(x, v, t_end), collisions, segments)
-
-
-def _shift_segment_velocities(segments, v0):
-    # the loop logged the post-collision velocity with each flight; the
-    # flight itself was carried by the previous velocity
-    out = []
-    v = v0
-    for duration, v_next in segments:
-        out.append((duration, v))
-        v = v_next
-    return out
 
 
 @dataclass(frozen=True)

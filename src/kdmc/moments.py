@@ -19,13 +19,9 @@ from .core import _draws
 __all__ = [
     "mean_unconditioned",
     "var_unconditioned",
-    "mean_conditioned",
-    "var_conditioned",
     "conditioned_mean_var",
-    "conditional_flighttime_pdf",
     "final_flight_moments",
     "bound_low_conditioned",
-    "bound_low_collisional",
     "bound_high_collisional",
     "verify_paper_constants",
     "ConstantsReport",
@@ -56,8 +52,8 @@ def _kernel_table(a):
     a = np.asarray(a, dtype=np.float64)
     scalar = a.ndim == 0
     a = np.ascontiguousarray(a.reshape(1) if scalar else a)
-    if a.size and float(a.min()) < 0:
-        raise ValueError("negative duration")
+    if a.size and not float(a.min()) >= 0:
+        raise ValueError("negative or NaN duration")
     ea = np.exp(-a)
     k = np.empty((4, *a.shape))
     _draws.kernels(a.ctypes.data, ea.ctypes.data, k.ctypes.data, a.size)
@@ -109,33 +105,6 @@ def conditioned_mean_var(params, dt, v_final):
     return mean, var
 
 
-def mean_conditioned(params, dt, v_final):
-    """Mean displacement over dt given the final velocity sample v_final."""
-    return conditioned_mean_var(params, dt, v_final)[0]
-
-
-def var_conditioned(params, dt, v_final):
-    """Variance of the displacement over dt given the final velocity."""
-    return conditioned_mean_var(params, dt, v_final)[1]
-
-
-def conditional_flighttime_pdf(dtau, k, dt):
-    """Density of one flight-time overlap given k >= 1 collisions in [0, dt].
-
-    k (dt - dtau)**(k-1) / dt**k on [0, dt], zero outside. For k = 0 the
-    single overlap is deterministically dt and the formula is undefined.
-    """
-    if k < 1 or int(k) != k:
-        raise ValueError(f"collision count must be a positive integer, got {k}")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    dtau = np.asarray(dtau, dtype=np.float64)
-    inside = (dtau >= 0.0) & (dtau <= dt)
-    base = np.where(inside, dt - dtau, 0.0)
-    out = np.where(inside, k * base ** (k - 1) / dt**k, 0.0)
-    return out if out.ndim else float(out)
-
-
 def final_flight_moments(params, dt):
     """Mean and variance of the last flight overlap, dt acting as a ceiling.
 
@@ -161,21 +130,6 @@ def bound_low_conditioned(params, dt):
         params.temperature * params.sigma * dt**3 / params.eps**4
     )
     return out if out.ndim else float(out)
-
-
-def bound_low_collisional(params, dt, t_end):
-    """(local, total) error bounds in the low-collisional regime.
-
-    local = 0.24959 sqrt(T sigma**3 dt**5 / eps**8),
-    total = 0.24959 t_end sqrt(T sigma**3 dt**3 / eps**8).
-    """
-    dt = np.asarray(dt, dtype=np.float64)
-    base = params.temperature * params.sigma**3 / params.eps**8
-    local = LOW_COLLISIONAL_CONSTANT * np.sqrt(base * dt**5)
-    total = LOW_COLLISIONAL_CONSTANT * t_end * np.sqrt(base * dt**3)
-    if local.ndim:
-        return local, total
-    return float(local), float(total)
 
 
 def bound_high_collisional(params, dt, t_end):

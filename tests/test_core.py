@@ -1,14 +1,17 @@
+import importlib
 import math
+import pkgutil
 import time
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import kdmc
+
 from kdmc import (
     BackgroundParams,
     ParticleState,
-    PiecewiseConstantField,
     RngStream,
     sample_maxwellian,
 )
@@ -69,7 +72,6 @@ class TestBackgroundParams:
         p = BackgroundParams(2.0, -1.0, 0.5, 0.1)
         assert p.collisionality(1.0) == pytest.approx(2.0 / 0.01)
         assert np.isfinite(p.collisionality(1e6))
-        assert p.params_at(123.0) is p
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -89,39 +91,6 @@ class TestBackgroundParams:
     def test_particle_state_finite(self):
         with pytest.raises(ValueError):
             ParticleState(np.nan, 0.0, 0.0)
-
-
-class TestField:
-    def test_lookup_and_clamp(self):
-        cells = [BackgroundParams(s, 0.0, 1.0, 1.0) for s in (1.0, 2.0, 3.0)]
-        field = PiecewiseConstantField(cells, breakpoints=(0.0, 1.0))
-        assert field.params_at(-5.0) is cells[0]
-        assert field.params_at(0.5) is cells[1]
-        assert field.params_at(1.0) is cells[2]
-        assert field.params_at(99.0) is cells[2]
-
-    def test_validation(self):
-        p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            PiecewiseConstantField(())
-        with pytest.raises(ValueError):
-            PiecewiseConstantField((p, p), breakpoints=())
-        with pytest.raises(ValueError):
-            PiecewiseConstantField((p, p, p), breakpoints=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            PiecewiseConstantField((p, p), breakpoints=(np.inf,))
-
-    def test_single_cell_matches_homogeneous(self):
-        # a one-cell field must be observationally identical to plain params
-        from kdmc import simulate_kinetic
-
-        p = BackgroundParams(1.7, 0.4, 1.3, 0.8)
-        field = PiecewiseConstantField((p,))
-        for i in range(8):
-            a = simulate_kinetic(ParticleState(0.3, -1.1, 0.0), 2.0, p, RngStream(5, i))
-            b = simulate_kinetic(ParticleState(0.3, -1.1, 0.0), 2.0, field, RngStream(5, i))
-            assert a.final_state == b.final_state
-            assert a.collisions_executed == b.collisions_executed
 
 
 class TestRngStream:
@@ -401,3 +370,16 @@ class TestEnsembleInputs:
         assert ctr.dtype == np.uint64 and ctr.tolist() == [0, 2**63, 2**64 - 1]
         _, ctr = stream_inputs(3, np.uint64(5), np.int64(7))
         assert ctr.dtype == np.uint64 and ctr.tolist() == [7, 7, 7]
+
+
+def test_every_export_resolves():
+    # `from kdmc import *` and `from kdmc.<module> import *` must not hit a
+    # stale name in an __all__
+    modules = [kdmc] + [importlib.import_module(f"kdmc.{m.name}")
+                        for m in pkgutil.iter_modules(kdmc.__path__)]
+    for module in modules:
+        names = getattr(module, "__all__", [])
+        assert len(set(names)) == len(names), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
+        exec(f"from {module.__name__} import *", {})

@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.stats import chisquare, poisson
 
 from kdmc import (
     BackgroundParams,
     ParticleState,
-    PiecewiseConstantField,
     RngStream,
     final_flight_moments,
     sample_collision_time,
@@ -19,13 +16,6 @@ from kdmc import (
 from kdmc import kinetic as kinetic_module
 from kdmc.kinetic import kinetic_ensemble
 from conftest import ROUND_ZERO_POPULATIONS, StubRng, moment_check, round_zero_inputs, same_bits
-
-
-def two_cell_field(s1=1.0, s2=2.0, at=1.0, eps=1.0, u=0.0, temp=1.0):
-    return PiecewiseConstantField(
-        (BackgroundParams(s1, u, temp, eps), BackgroundParams(s2, u, temp, eps)),
-        breakpoints=(at,),
-    )
 
 
 @pytest.mark.parametrize("duration", [math.nan, math.inf, -0.5])
@@ -44,7 +34,7 @@ class TestCollisionTime:
         # constant-rate integral inverts to (eps^2/sigma) * E
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
         rng = StubRng(exponentials=[math.log(2.0)])
-        dtau = sample_collision_time(ParticleState(0.0, 1.0, 0.0), p, rng)
+        dtau = sample_collision_time(p, rng)
         assert dtau == pytest.approx(math.log(2.0))
 
     def test_homogeneous_mean(self):
@@ -55,73 +45,8 @@ class TestCollisionTime:
         # bitwise equivalence of the op with the scaled exponential
         rng = RngStream(8, 0)
         for k in range(1000):
-            assert sample_collision_time(ParticleState(0.0, 1.0, 0.0), p, rng) == draws[k]
+            assert sample_collision_time(p, rng) == draws[k]
         assert abs(draws.mean() - 1.0) <= 0.004
-
-    def test_two_cell_hand_integration(self):
-        # rate 1 for one unit of travel time, then rate 2: budget 2 spends
-        # 1 in the first cell and 0.5 in the second
-        field = two_cell_field()
-        rng = StubRng(exponentials=[2.0])
-        state = ParticleState(0.0, 1.0, 0.0)  # speed 1 hits the boundary at t=1
-        assert sample_collision_time(state, field, rng) == pytest.approx(1.5)
-
-    @pytest.mark.parametrize(
-        "x0,v,eps,budget",
-        [
-            (0.0, 1.0, 1.0, 2.0),
-            (0.0, 3.0, 2.0, 2.2),
-            (2.5, -1.2, 0.7, 1.7),
-            (-3.0, 0.4, 1.0, 0.3),
-            (0.5, -0.2, 0.5, 4.0),
-        ],
-    )
-    def test_piecewise_matches_quadrature_inversion(self, x0, v, eps, budget):
-        # independent oracle: integrate the rate along the flight path and
-        # invert numerically
-        cells = (
-            BackgroundParams(0.7, 0.0, 1.0, eps),
-            BackgroundParams(2.0, 0.0, 1.0, eps),
-            BackgroundParams(0.4, 0.0, 1.0, eps),
-        )
-        field = PiecewiseConstantField(cells, breakpoints=(-1.0, 1.5))
-
-        def rate(t):
-            return field.params_at(x0 + (v / eps) * t).sigma / eps**2
-
-        speed = v / eps
-        crossings = sorted(
-            t for t in ((b - x0) / speed for b in field.breakpoints if speed != 0) if t > 0
-        )
-
-        def cumulative(t):
-            pts = [c for c in crossings if c < t]
-            val, _ = quad(rate, 0.0, t, limit=200, points=pts or None)
-            return val
-
-        got = sample_collision_time(
-            ParticleState(x0, v, 0.0), field, StubRng(exponentials=[budget])
-        )
-        hi = 1.0
-        while cumulative(hi) < budget:
-            hi *= 2.0
-        expected = brentq(lambda t: cumulative(t) - budget, 0.0, hi, xtol=1e-13)
-        assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_zero_velocity_stays_in_cell(self):
-        field = two_cell_field()
-        got = sample_collision_time(
-            ParticleState(0.0, 0.0, 0.0), field, StubRng(exponentials=[3.0])
-        )
-        assert got == pytest.approx(3.0)
-
-    def test_clamped_tail_cell(self):
-        # beyond the last breakpoint the edge rate applies forever
-        field = two_cell_field(s1=1.0, s2=2.0, at=1.0)
-        got = sample_collision_time(
-            ParticleState(5.0, 1.0, 0.0), field, StubRng(exponentials=[4.0])
-        )
-        assert got == pytest.approx(2.0)
 
 
 class TestSimulateKinetic:
@@ -138,6 +63,9 @@ class TestSimulateKinetic:
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             simulate_kinetic(ParticleState(0.0, 0.0, 2.0), 1.0, p, RngStream(0))
+        for t_end in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_end must be finite"):
+                simulate_kinetic(ParticleState(0.0, 0.0, 2.0), t_end, p, RngStream(0))
 
     def test_segment_record(self):
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)

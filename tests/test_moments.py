@@ -7,13 +7,9 @@ from scipy.integrate import quad
 from kdmc import (
     BackgroundParams,
     bound_high_collisional,
-    bound_low_collisional,
     bound_low_conditioned,
-    conditional_flighttime_pdf,
     final_flight_moments,
-    mean_conditioned,
     mean_unconditioned,
-    var_conditioned,
     var_unconditioned,
     verify_paper_constants,
 )
@@ -61,46 +57,47 @@ class TestConditioned:
     def test_mean_reduces_to_drift(self):
         p = BackgroundParams(2.0, 1.5, 1.0, 0.5)
         v_mean = p.eps * p.u
-        assert mean_conditioned(p, 0.8, v_mean) == pytest.approx(p.u * 0.8)
+        assert conditioned_mean_var(p, 0.8, v_mean)[0] == pytest.approx(p.u * 0.8)
 
     def test_mean_diffusive_limit(self):
         # the conditioning term scales as (v - eps u) eps / sigma
         p = BackgroundParams(1.0, 1.0, 1.0, 1e-4)
         v_final = p.eps * p.u + 2.0 * math.sqrt(p.temperature)
-        got = mean_conditioned(p, 0.7, v_final)
+        got = conditioned_mean_var(p, 0.7, v_final)[0]
         assert abs(got - p.u * 0.7) < 1.01 * 2.0 * p.eps / p.sigma
         assert abs(got / (p.u * 0.7) - 1.0) < 1e-3
 
     def test_mean_unit_point(self):
-        assert mean_conditioned(P_UNIT, 1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0))
+        assert conditioned_mean_var(P_UNIT, 1.0, 1.0)[0] == pytest.approx(1.0 - math.exp(-1.0))
 
     def test_var_zero_dt(self):
-        assert var_conditioned(P_UNIT, 0.0, 1.0) == 0.0
+        assert conditioned_mean_var(P_UNIT, 0.0, 1.0)[1] == 0.0
 
     def test_var_diffusive_limit(self):
         p = BackgroundParams(1.0, 0.0, 1.0, 1e-4)
-        got = var_conditioned(p, 0.5, 1.0)
+        got = conditioned_mean_var(p, 0.5, 1.0)[1]
         assert abs(got / (2.0 * 0.5) - 1.0) < 1e-6
 
     def test_var_small_dt_cubic(self):
         # leading order (T + (v - eps u)^2) sigma dt^3 / (3 eps^4)
         dt = 1e-4
-        got = var_conditioned(P_UNIT, dt, 1.0)
+        got = conditioned_mean_var(P_UNIT, dt, 1.0)[1]
         assert abs(got / dt**3 - 2.0 / 3.0) < 1e-3 * (2.0 / 3.0)
 
     def test_var_nonnegative_everywhere(self):
         for a in (1e-8, 1e-4, 1.0, 10.0, 1e3):
             for v in (-3.0, 0.0, 0.5, 4.0):
                 p = BackgroundParams(1.0, 0.3, 0.7, 1.0)
-                assert var_conditioned(p, a, v) >= 0.0
-                assert np.isfinite(var_conditioned(p, a, v))
+                var = conditioned_mean_var(p, a, v)[1]
+                assert var >= 0.0
+                assert np.isfinite(var)
 
     def test_law_of_total_expectation(self):
         # averaging the conditioned mean over the Maxwellian recovers u dt
         for a in (0.1, 1.0, 10.0, 100.0):
             p = BackgroundParams(1.3, 0.7, 1.7, math.sqrt(1.3 * 0.8 / a))
             dt = 0.8
-            avg = hermite_average(lambda v: mean_conditioned(p, dt, v), p)
+            avg = hermite_average(lambda v: conditioned_mean_var(p, dt, v)[0], p)
             ref = mean_unconditioned(p, dt)
             assert abs(avg - ref) <= 1e-8 * max(abs(ref), 1.0)
 
@@ -109,9 +106,9 @@ class TestConditioned:
         for a in (0.1, 1.0, 10.0, 100.0):
             p = BackgroundParams(1.3, 0.7, 1.7, math.sqrt(1.3 * 0.8 / a))
             dt = 0.8
-            e_var = hermite_average(lambda v: var_conditioned(p, dt, v), p)
+            e_var = hermite_average(lambda v: conditioned_mean_var(p, dt, v)[1], p)
             mean_sq = hermite_average(
-                lambda v: (mean_conditioned(p, dt, v) - mean_unconditioned(p, dt)) ** 2, p
+                lambda v: (conditioned_mean_var(p, dt, v)[0] - mean_unconditioned(p, dt)) ** 2, p
             )
             ref = var_unconditioned(p, dt)
             assert abs(e_var + mean_sq - ref) <= 1e-6 * ref
@@ -122,40 +119,14 @@ class TestConditioned:
         vs = np.array([-1.0, 0.0, 0.3, 2.0])
         mean_arr, var_arr = conditioned_mean_var(p, dts, vs)
         for i in range(dts.size):
-            assert mean_conditioned(p, dts[i], vs[i]) == mean_arr[i]
-            assert var_conditioned(p, dts[i], vs[i]) == var_arr[i]
+            assert conditioned_mean_var(p, dts[i], vs[i]) == (mean_arr[i], var_arr[i])
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            var_conditioned(P_UNIT, -0.1, 1.0)
-
-
-class TestFlighttimePdf:
-    def test_k1_uniform(self):
-        assert conditional_flighttime_pdf(0.3, 1, 2.0) == pytest.approx(0.5)
-        assert conditional_flighttime_pdf(1.999, 1, 2.0) == pytest.approx(0.5)
-
-    def test_k2_at_zero(self):
-        assert conditional_flighttime_pdf(0.0, 2, 1.0) == pytest.approx(2.0)
-
-    def test_outside_support(self):
-        assert conditional_flighttime_pdf(-0.1, 3, 1.0) == 0.0
-        assert conditional_flighttime_pdf(1.1, 3, 1.0) == 0.0
-
-    def test_quadrature_moments(self):
-        # mean dt/(K+1) and normalization, by quadrature
-        for k, dt in ((1, 1.0), (3, 1.0), (5, 2.0)):
-            total, _ = quad(lambda t: conditional_flighttime_pdf(t, k, dt), 0, dt)
-            mean, _ = quad(lambda t: t * conditional_flighttime_pdf(t, k, dt), 0, dt)
-            assert total == pytest.approx(1.0, abs=1e-10)
-            assert mean == pytest.approx(dt / (k + 1), rel=1e-9)
-        assert quad(lambda t: t * conditional_flighttime_pdf(t, 3, 1.0), 0, 1.0)[0] == pytest.approx(0.25)
-
-    def test_k0_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_flighttime_pdf(0.5, 0, 1.0)
-        with pytest.raises(ValueError):
-            conditional_flighttime_pdf(0.5, 2, 0.0)
+        for dt in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                conditioned_mean_var(P_UNIT, dt, 1.0)
+            with pytest.raises(ValueError):
+                var_unconditioned(P_UNIT, dt)
 
 
 class TestFinalFlight:
@@ -171,17 +142,6 @@ class TestFinalFlight:
 
 
 class TestBounds:
-    def test_low_direct_value(self):
-        local, total = bound_low_collisional(P_UNIT, 0.1, 1.0)
-        assert total == pytest.approx(0.24959 * 0.1**1.5)
-        assert total == pytest.approx(7.893e-3, rel=1e-3)
-        assert local == pytest.approx(0.24959 * 0.1**2.5)
-
-    def test_low_power_law(self):
-        _, t1 = bound_low_collisional(P_UNIT, 0.2, 1.0)
-        _, t2 = bound_low_collisional(P_UNIT, 0.1, 1.0)
-        assert t1 / t2 == pytest.approx(2.0**1.5)
-
     def test_low_conditioned(self):
         assert bound_low_conditioned(P_UNIT, 0.25) == pytest.approx(0.24959 * 0.25**1.5)
 
