@@ -1,6 +1,6 @@
 /* kdmc's draw arithmetic over caller buffers: the splitmix64 stream keys
- * and hash, the uniform maps and scipy.special's cephes ndtri, bit for bit,
- * and the lockstep engine's per-round passes built on them.
+ * and hash, the uniform maps and scipy.special's cephes ndtri and ndtr, bit
+ * for bit, and the lockstep engine's per-round passes built on them.
  * So build with -ffp-contract=off and never -ffast-math: every operation
  * rounds once, as numpy and scipy round it. No state is kept, so threads
  * may share the calls. */
@@ -112,6 +112,53 @@ void ndtri(double *u, ptrdiff_t n)
 {
     for (ptrdiff_t lo = 0; lo < n; lo += BATCH)
         ndtri_block(u + lo, BLOCK(n, lo));
+}
+
+/* cephes ndtr's erf and erfc: T/U for |x| < 1, P/Q for erfc below 8, R/S above */
+static const double T[] = {9.60497373987051638749E0, 9.00260197203842689217E1,
+    2.23200534594684319226E3, 7.00332514112805075473E3, 5.55923013010394962768E4};
+static const double U[] = {1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+    4.59432382970980127987E3, 2.26290000613890934246E4, 4.92673942608635921086E4};
+static const double P[] = {2.46196981473530512524E-10, 5.64189564831068821977E-1,
+    7.46321056442269912687E0, 4.86371970985681366614E1, 1.96520832956077098242E2,
+    5.26445194995477358631E2, 9.34528527171957607540E2, 1.02755188689515710272E3,
+    5.57535335369399327526E2};
+static const double Q[] = {1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+    3.54937778887819891062E2, 9.75708501743205489753E2, 1.82390916687909736289E3,
+    2.24633760818710981792E3, 1.65666309194161350182E3, 5.57535340817727675546E2};
+static const double R[] = {5.64189583547755073984E-1, 1.27536670759978104416E0,
+    5.01905042251180477414E0, 6.16021097993053585195E0, 7.40974269950448939160E0,
+    2.97886665372100240670E0};
+static const double S[] = {1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
+    1.20489539808096656605E1, 1.70814450747565897222E1, 9.60896809063285878198E0,
+    3.36907645100081516050E0};
+#define SQRT1_2 7.07106781186547524401E-1
+#define MAXLOG 7.09782712893383996843E2 /* log(DBL_MAX) */
+
+static inline double erf_small(double x) /* |x| < 1 */
+{
+    double z = x * x;
+    return x * polevl(z, T, 4) / polevl(z, U, 5);
+}
+
+static double erfc_pos(double x) /* x >= 1/sqrt(2) */
+{
+    if (x < 1.0)
+        return 1.0 - erf_small(x);
+    if (-x * x < -MAXLOG)
+        return 0.0;
+    double z = exp(-x * x);
+    return x < 8.0 ? z * polevl(x, P, 8) / polevl(x, Q, 8) : z * polevl(x, R, 5) / polevl(x, S, 6);
+}
+
+/* the standard normal CDF, in place: Phi(a) = (1 + erf(a / sqrt 2)) / 2 */
+void ndtr(double *a, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double x = a[i] * SQRT1_2, z = fabs(x);
+        double y = z < SQRT1_2 ? 0.5 + 0.5 * erf_small(x) : 0.5 * erfc_pos(z);
+        a[i] = isnan(x) ? NAN : z >= SQRT1_2 && x > 0.0 ? 1.0 - y : y;
+    }
 }
 
 /* the standard normals ndtri(u) of the uniforms on (0, 1) */

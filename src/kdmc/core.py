@@ -10,8 +10,8 @@ Every draw is a pure hash of (stream key, counter): `normal_keyed` and
 are compositions of them kept for the benchmark tracer, which wraps them.
 
 The draw arithmetic lives in `_draws.c`, compiled on first import: the
-splitmix64 stream keys and hash, the two uniform maps, a port of the
-cephes `ndtri` that `scipy.special.ndtri` runs, bit for bit, the
+splitmix64 stream keys and hash, the two uniform maps, ports of the
+cephes `ndtri` and `ndtr` that `scipy.special` runs, bit for bit, the
 lockstep engine's per-round kernels and the moment kernels. `log` and `exp`
 stay in numpy: `exponential_keyed` and the engine's flights take `np.log`
 of the C uniforms, and a KD collision takes one `np.exp` (see `kd.py`).
@@ -99,7 +99,7 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
     p, n, f, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
     for fn, args, res in (
         ("stream_keys", (ctypes.c_uint64, p, p, n), None), ("uniforms", (p, p, f, p, n), None),
-        ("normals", (p, p, p, n), None), ("ndtri", (p, n), None),
+        ("normals", (p, p, p, n), None), ("ndtri", (p, n), None), ("ndtr", (p, n), None),
         ("flights", (p, p, p, p, f, n), n), ("compact", (p, n, p, i, i), n),
         ("collide", (i, p, p, p, p, p, p, p, p, p, f, f, f, n), None),
         ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
@@ -142,6 +142,14 @@ def _scalar_if(out, keys, counter):
 def normal_keyed(keys, counter):
     """Standard normal ndtri(u) of a uniform u on (0, 1); one counter each."""
     return _scalar_if(_keyed(_draws.normals, keys, counter), keys, counter)
+
+
+def ndtr(x):
+    """The standard normal CDF of x as a new float64 array: cephes `ndtr`,
+    which `scipy.special.ndtr` runs, bit for bit."""
+    out = np.array(x, dtype=np.float64, order="C")
+    _draws.ndtr(out.ctypes.data, out.size)
+    return out
 
 
 def exponential_keyed(keys, counter):

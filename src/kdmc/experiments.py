@@ -14,10 +14,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .config import _POINT_STRIDE, emit_csv
-from .core import BackgroundParams, normal_from_counter, step_count, uniform_open_closed
+from .core import BackgroundParams, ndtr, normal_from_counter, step_count, uniform_open_closed
 from .kd import kd_ensemble, random_walk_ensemble
 from .kinetic import kinetic_ensemble
 from .metrics import HistogramSpec, w1_sorted
@@ -122,7 +121,11 @@ def _stratified_w1(order_key, a, b, bins):
     """Mean within-stratum W1 after sorting pairs into equal-count bins of
     the conditioning key: the coupling matches on the key and is optimal
     (comonotone) inside each stratum."""
-    order = np.argsort(order_key, kind="stable")
+    order = np.argsort(order_key)
+    key = order_key[order]
+    if not (key[1:] > key[:-1]).all():
+        # tied keys may straddle a stratum edge, and only the stable order is the reference
+        order = np.argsort(order_key, kind="stable")
     a = a[order]
     b = b[order]
     n = a.size
@@ -170,14 +173,28 @@ def run_single_step_low(config):
 
 
 def _permutation_floor(pooled, reps, seed, stream):
-    """Mean W1 between random halves of the pooled sample: the resolution
-    limit of the two-sample distance at this sample size."""
+    """Mean W1 between random halves of the pooled sample (two halves of n
+    values): the resolution limit of the two-sample distance at this size.
+
+    Replicate b splits the pool by uniforms u at stream + b: the n values
+    with the smallest u, in stable order, against the rest. If the n-th and
+    (n+1)-th smallest u differ, the first half is u <= the n-th, found by a
+    linear-time partition, and both halves come out sorted from the pool
+    sorted once; on a tie the stable argsort of u splits it.
+    """
     n = pooled.size // 2
+    by_value = np.argsort(pooled, kind="stable")
+    ps = pooled[by_value]
     vals = []
     for b in range(reps):
         u = uniform_open_closed(seed, np.uint64(stream + b), np.arange(pooled.size, dtype=np.uint64))
-        order = np.argsort(u, kind="stable")
-        vals.append(w1_sorted(pooled[order[:n]], pooled[order[n : 2 * n]]))
+        lo, hi = np.partition(u, (n - 1, n))[n - 1 : n + 1]
+        if lo < hi:
+            first = (u <= lo)[by_value]
+            vals.append(float(np.mean(np.abs(ps[first] - ps[~first]))))
+        else:
+            order = np.argsort(u, kind="stable")
+            vals.append(w1_sorted(pooled[order[:n]], pooled[order[n : 2 * n]]))
     return float(np.mean(vals))
 
 

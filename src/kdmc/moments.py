@@ -42,6 +42,16 @@ K4_CONSTANT = 18.3
 A_SMALL = ctypes.c_double.in_dll(_draws, "A_SMALL").value  # the series switch
 
 
+def _durations(dt, zero_ok=True):
+    """dt as a float64 array; raises ValueError on a negative or NaN value,
+    or on a zero one unless zero_ok."""
+    dt = np.asarray(dt, dtype=np.float64)
+    low = float(dt.min()) if dt.size else 1.0
+    if not (low >= 0 if zero_ok else low > 0):
+        raise ValueError(f"durations must be {'>= 0' if zero_ok else '> 0'}, got {low}")
+    return dt
+
+
 def _kernel_table(a):
     """The four exponential kernels at a >= 0, series-patched below A_SMALL.
 
@@ -49,11 +59,9 @@ def _kernel_table(a):
     2 e^-a + a + a e^-a - 2) and a scalar-input flag. One np.exp serves all
     four; the rest is `kernels` in `_draws.c`, which KD collisions share.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _durations(a)
     scalar = a.ndim == 0
     a = np.ascontiguousarray(a.reshape(1) if scalar else a)
-    if a.size and not float(a.min()) >= 0:
-        raise ValueError("negative or NaN duration")
     ea = np.exp(-a)
     k = np.empty((4, *a.shape))
     _draws.kernels(a.ctypes.data, ea.ctypes.data, k.ctypes.data, a.size)
@@ -69,7 +77,7 @@ def _substep_constants(params, dt):
 
 def mean_unconditioned(params, dt):
     """Mean displacement over dt with all velocities Maxwellian: u * dt."""
-    dt = np.asarray(dt, dtype=np.float64)
+    dt = _durations(dt)
     out = params.u * dt
     return out if out.ndim else float(out)
 
@@ -125,7 +133,7 @@ def bound_low_conditioned(params, dt):
 
     0.24959 sqrt(T sigma dt**3 / eps**4).
     """
-    dt = np.asarray(dt, dtype=np.float64)
+    dt = _durations(dt)
     out = LOW_COLLISIONAL_CONSTANT * np.sqrt(
         params.temperature * params.sigma * dt**3 / params.eps**4
     )
@@ -138,7 +146,7 @@ def bound_high_collisional(params, dt, t_end):
     local = 0.58 sqrt(T) eps**3 / sqrt(sigma**3 dt),
     total = 0.58 sqrt(T) eps**3 t_end / sqrt(sigma**3 dt**3).
     """
-    dt = np.asarray(dt, dtype=np.float64)
+    dt = _durations(dt, zero_ok=False)
     root_t = np.sqrt(params.temperature)
     local = HIGH_COLLISIONAL_CONSTANT * root_t * params.eps**3 / np.sqrt(params.sigma**3 * dt)
     total = (

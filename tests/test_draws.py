@@ -1,6 +1,6 @@
-"""The compiled draws: bit parity with scipy's ndtri and across optimisation
-levels, and the build on import (compiler errors, concurrent first builds,
-cache hits)."""
+"""The compiled draws: bit parity with scipy's ndtri and ndtr and across
+optimisation levels, the build on import (compiler errors, concurrent first
+builds, cache hits), and a run without scipy."""
 
 import json
 import math
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr as scipy_ndtr
 from scipy.special import ndtri as scipy_ndtri
 
 import kdmc
@@ -31,6 +32,12 @@ EXPM2 = math.exp(-2.0)
 def c_ndtri(u, lib=_draws):
     x = np.array(u, dtype=np.float64)
     lib.ndtri(x.ctypes.data, x.size)
+    return x
+
+
+def c_ndtr(a, lib=_draws):
+    x = np.array(a, dtype=np.float64)
+    lib.ndtr(x.ctypes.data, x.size)
     return x
 
 
@@ -74,6 +81,48 @@ class TestNdtriParity:
         assert same_bits(c_ndtri(u), scipy_ndtri(u))
 
 
+class TestNdtrParity:
+    def test_random(self):
+        rng = np.random.default_rng(12)
+        a = np.concatenate([rng.normal(size=400_000), 5.0 * rng.normal(size=300_000),
+                            rng.uniform(-40.0, 40.0, 300_000)])
+        assert same_bits(c_ndtr(a), scipy_ndtr(a))
+
+    def test_branch_points(self):
+        # on x = a / sqrt 2: erf below |x| = 1/sqrt 2 (|a| = 1), then erfc's
+        # switches at x = 1 and x = 8, and its underflow at x^2 > MAXLOG
+        maxlog = 7.09782712893383996843e2
+        sqrt1_2 = math.sqrt(0.5)
+        edges = {1.0: sqrt1_2, math.sqrt(2.0): 1.0, 8.0 * math.sqrt(2.0): 8.0,
+                 math.sqrt(2.0 * maxlog): math.sqrt(maxlog)}
+        for a, x_switch in edges.items():
+            near = neighbours(a, steps=16)
+            x = near * sqrt1_2
+            below = x * x <= maxlog if x_switch * x_switch == maxlog else x < x_switch
+            assert below.any() and not below.all(), a  # the doubles straddle the switch
+            near = np.concatenate([near, -near])
+            assert same_bits(c_ndtr(near), scipy_ndtr(near)), a
+
+    def test_specials(self):
+        tiny = np.finfo(np.float64).tiny
+        a = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, tiny, -tiny,
+                      tiny / 3.0, -tiny / 3.0, 38.0, -38.0, 40.0, -40.0, 1e300, -1e300])
+        payload = np.array([0x7FF8000000000123, 0xFFF4000000000001], dtype=np.uint64)
+        a = np.concatenate([a, payload.view(np.float64)])
+        got = c_ndtr(a)
+        assert same_bits(got, scipy_ndtr(a))  # any NaN gives scipy's one NaN
+        assert got[2] == 1.0 and got[3] == 0.0 and np.isnan(got[4])
+
+    def test_wrapper_returns_a_new_array(self):
+        a = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        view = a.T[::-1]
+        before = a.copy()
+        got = core.ndtr(view)
+        assert got.shape == (4, 3) and same_bits(got, scipy_ndtr(view))
+        assert same_bits(a, before)
+        assert core.ndtr(0.5) == scipy_ndtr(0.5) and core.ndtr(0.5).ndim == 0
+
+
 def lib_draws(lib, seed, streams, counters):
     """Stream keys, both uniform maps and the normals of one library build."""
     n = streams.size
@@ -84,6 +133,7 @@ def lib_draws(lib, seed, streams, counters):
         out[offset] = np.empty(n)
         lib.uniforms(keys.ctypes.data, counters.ctypes.data, offset, out[offset].ctypes.data, n)
     out["normal"] = c_ndtri(out[0.5], lib)
+    out["ndtr"] = c_ndtr(6.0 * out["normal"], lib)  # |a| up to about 55: every branch
     return out
 
 
@@ -104,6 +154,8 @@ def test_unoptimised_build_matches(tmp_path):
     assert np.array_equal(keys, want["keys"])
     assert same_bits(normal_keyed(keys, counters), want["normal"])
     assert same_bits(uniform_open_closed(19, streams, counters), want[1.0])
+    assert same_bits(core.ndtr(6.0 * want["normal"]), want["ndtr"])
+    assert same_bits(want["ndtr"], scipy_ndtr(6.0 * want["normal"]))
 
 
 def test_broadcast_and_strided_inputs():
@@ -188,3 +240,19 @@ def test_cache_hit_runs_no_compiler(tmp_path):
     rc, _, err = finish(run_python(root, ["-c", "import kdmc"], cc=trap))
     assert rc == 0, err
     assert not marker.exists()
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is only the tests' reference: with it blocked, kdmc imports and
+    # single-step-low, the one experiment that takes a normal CDF, writes
+    # the bytes of an unblocked run
+    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "single_step_low.json")
+    args = ["single-step-low", "--config", cfg, "--particles", "300"]
+    blocked = tmp_path / "blocked.csv"
+    script = ("import sys; sys.modules['scipy'] = None; from kdmc import cli; "
+              f"sys.exit(cli.main({[*args, '--out', str(blocked)]!r}))")
+    rc, _, err = finish(run_python(Path(kdmc.__file__).parent.parent, ["-c", script]))
+    assert rc == 0, err
+    here = tmp_path / "here.csv"
+    assert cli.main([*args, "--out", str(here)]) == 0
+    assert blocked.read_bytes() == here.read_bytes()

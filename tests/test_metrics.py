@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kdmc import HistogramSpec, RngStream, fit_order, w1_sorted
+from kdmc import experiments
 from kdmc.oracles import sample_moments
 
 
@@ -106,3 +107,57 @@ class TestFitOrder:
             fit_order([1.0, 2.0, -3.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             fit_order([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
+
+
+def argsort_floor(pooled, reps, seed, stream):
+    """The permutation floor by a stable argsort of each replicate's
+    uniforms, as it was first written: the oracle of the partition."""
+    n = pooled.size // 2
+    vals = []
+    for b in range(reps):
+        u = experiments.uniform_open_closed(seed, np.uint64(stream + b),
+                                            np.arange(pooled.size, dtype=np.uint64))
+        order = np.argsort(u, kind="stable")
+        vals.append(w1_sorted(pooled[order[:n]], pooled[order[n : 2 * n]]))
+    return float(np.mean(vals))
+
+
+def stable_stratified_w1(key, a, b, bins):
+    """_stratified_w1 on the stable argsort of the key alone: its oracle."""
+    order = np.argsort(key, kind="stable")
+    a, b = a[order], b[order]
+    edges = np.linspace(0, a.size, bins + 1).astype(np.int64)
+    return sum(w1_sorted(a[lo:hi], b[lo:hi]) * (hi - lo)
+               for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo) / a.size
+
+
+class TestExperimentW1:
+    @pytest.mark.parametrize("levels, fallbacks", [(None, 0), (4096, 3), (2, 6)])
+    def test_permutation_floor_matches_argsort(self, monkeypatch, levels, fallbacks):
+        # levels quantises the replicates' uniforms, forcing ties: at 4096
+        # levels half the thresholds tie, at 2 all of them, and each tied one
+        # takes the argsort fallback, the one path that calls w1_sorted
+        if levels is not None:
+            draw = experiments.uniform_open_closed
+            monkeypatch.setattr(experiments, "uniform_open_closed",
+                                lambda *args: np.ceil(draw(*args) * levels) / levels)
+        calls = []
+        monkeypatch.setattr(experiments, "w1_sorted",
+                            lambda a, b: calls.append(a) or w1_sorted(a, b))
+        rng = np.random.default_rng(8)
+        pooled = np.concatenate([rng.normal(size=3000), np.round(rng.normal(size=3000), 2)])
+        got = experiments._permutation_floor(pooled, 6, 22, 3 << 60)
+        assert got == argsort_floor(pooled, 6, 22, 3 << 60)
+        assert len(calls) == fallbacks
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_stratified_w1_matches_stable_order(self, decimals):
+        # rounded keys tie, and the ties straddle the stratum edges
+        rng = np.random.default_rng(9)
+        key = rng.normal(size=20_000)
+        if decimals is not None:
+            key = np.round(key, decimals)
+        a, b = rng.normal(size=key.size), rng.normal(size=key.size)
+        for bins in (1, 7, 64):
+            want = stable_stratified_w1(key, a, b, bins)
+            assert experiments._stratified_w1(key, a, b, bins) == want

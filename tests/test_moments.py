@@ -127,6 +127,10 @@ class TestConditioned:
                 conditioned_mean_var(P_UNIT, dt, 1.0)
             with pytest.raises(ValueError):
                 var_unconditioned(P_UNIT, dt)
+            with pytest.raises(ValueError):
+                mean_unconditioned(P_UNIT, dt)
+            with pytest.raises(ValueError):
+                mean_unconditioned(P_UNIT, np.array([0.5, dt]))
 
 
 class TestFinalFlight:
@@ -158,6 +162,17 @@ class TestBounds:
         l2, t2 = bound_high_collisional(p2, 1.0, 1.0)
         assert l1 / l2 == pytest.approx(8.0)
         assert t1 / t2 == pytest.approx(8.0)
+
+    def test_bad_durations_rejected(self):
+        # the high-collisional bound divides by dt, so it also refuses dt = 0
+        for dt in (-0.1, math.nan, np.array([0.5, -1.0])):
+            with pytest.raises(ValueError):
+                bound_low_conditioned(P_UNIT, dt)
+            with pytest.raises(ValueError):
+                bound_high_collisional(P_UNIT, dt, 1.0)
+        with pytest.raises(ValueError):
+            bound_high_collisional(P_UNIT, 0.0, 1.0)
+        assert bound_low_conditioned(P_UNIT, 0.0) == 0.0
 
 
 class TestKernels:
