@@ -171,15 +171,21 @@ void normals(const uint64_t *keys, const uint64_t *ctr, double *out, ptrdiff_t n
 }
 
 /* A round's flights, on dtau = log(u) of the uniforms on (0, 1]: dtau
- * becomes -log(u) scale, the counters step, and done flags the flights that
- * reach their remaining time rem. Returns the number done. */
-ptrdiff_t flights(const double *rem, double *dtau, uint64_t *ctr, _Bool *done, double scale,
-                  ptrdiff_t n)
+ * becomes -log(u) scale and done flags the flights that reach their
+ * remaining time rem. Returns the number done. Later rounds step the
+ * counters ctr; round 0 (ctr NULL) only reads its inputs, x and v among
+ * them, and presets out_x to where each particle's flight would finish it,
+ * (v / eps) rem + x. */
+ptrdiff_t flights(const double *rem, double *dtau, uint64_t *ctr, _Bool *done, const double *x,
+                  const double *v, double *out_x, double scale, double eps, ptrdiff_t n)
 {
     ptrdiff_t count = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
         dtau[i] = -dtau[i] * scale;
-        ctr[i] += 1;
+        if (ctr)
+            ctr[i] += 1;
+        else
+            out_x[i] = (v[i] / eps) * rem[i] + x[i];
         done[i] = dtau[i] >= rem[i];
         count += done[i];
     }
@@ -287,25 +293,25 @@ void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, 
 }
 
 /* Drops the particles flagged done from k columns of 8-byte values, in
- * place and in order, and returns how many are left. Column k holds their
- * output slots; fresh fills it with their positions instead. Per block,
- * the kept positions first; then each column gathers them. */
+ * place, and returns how many are left. The last kept particle moves into
+ * each finished one's place below that count, so the work is O(done) and
+ * the order is not kept; holes are found forward with memchr, movers
+ * backward. Column k holds the output slots; fresh means the caller filled
+ * it with 0, 1, 2, ..., the positions themselves, so a mover's slot is the
+ * position it came from. */
 ptrdiff_t compact(const _Bool *done, ptrdiff_t n, uint64_t *const *cols, int k, int fresh)
 {
-    ptrdiff_t m = 0;
-    for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
-        ptrdiff_t at[BATCH], kept = 0;
-        for (ptrdiff_t i = lo; i < lo + BLOCK(n, lo); i++) {
-            at[kept] = i;
-            kept += !done[i];
-        }
-        for (int c = 0; c <= k; c++) {
-            uint64_t values[BATCH]; /* then moved down: the gather reads ahead of m */
-            for (ptrdiff_t j = 0; j < kept; j++)
-                values[j] = c == k && fresh ? (uint64_t)at[j] : cols[c][at[j]];
-            memmove(cols[c] + m, values, (size_t)kept * sizeof *values);
-        }
-        m += kept;
+    for (ptrdiff_t i = 0;; i++) {
+        const _Bool *hole = memchr(done + i, 1, (size_t)(n - i));
+        if (!hole)
+            return n;
+        i = hole - done;
+        while (n > i && done[n - 1])
+            n--;
+        if (n == i)
+            return n;
+        n--; /* the kept particle at n fills the hole at i */
+        for (int c = 0; c <= k; c++)
+            cols[c][i] = c == k && fresh ? (uint64_t)n : cols[c][n];
     }
-    return m;
 }

@@ -100,7 +100,7 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
     for fn, args, res in (
         ("stream_keys", (ctypes.c_uint64, p, p, n), None), ("uniforms", (p, p, f, p, n), None),
         ("normals", (p, p, p, n), None), ("ndtri", (p, n), None), ("ndtr", (p, n), None),
-        ("flights", (p, p, p, p, f, n), n), ("compact", (p, n, p, i, i), n),
+        ("flights", (p, p, p, p, p, p, p, f, f, n), n), ("compact", (p, n, p, i, i), n),
         ("collide", (i, p, p, p, p, p, p, p, p, p, f, f, f, n), None),
         ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
     ):
@@ -249,13 +249,14 @@ def sample_maxwellian(params, rng):
 
 
 def _uint64(name, values):
-    # values as uint64; raises ValueError unless they are integers in [0, 2**64)
+    # values as a C-contiguous uint64 array; raises ValueError unless they are
+    # integers in [0, 2**64)
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise ValueError(f"{name} must have an integer dtype, got {values.dtype}")
     if values.dtype.kind == "i" and (values < 0).any():
         raise ValueError(f"{name} must be in [0, 2**64), got a negative value")
-    return values.astype(np.uint64, copy=False)
+    return np.require(values, np.uint64, "C")
 
 
 def stream_inputs(n, stream_lo, ctr0):
@@ -282,8 +283,9 @@ def stream_inputs(n, stream_lo, ctr0):
 
 
 def finite(name, values):
-    """values as a float64 array; raises ValueError if any is NaN or infinite."""
-    values = np.asarray(values, dtype=np.float64)
+    """values as a C-contiguous float64 array; raises ValueError if any is NaN
+    or infinite."""
+    values = np.require(values, np.float64, "C")
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
     return values
@@ -329,68 +331,70 @@ def collision(kind, live, dtau, params, kd=None, ea=None):
 def lockstep(live, params, out_x, collide, finish=None):
     """Run a particle population to the end in lockstep rounds and write
     each particle's final position into out_x; returns the wall seconds of
-    the loop, which exclude the preset.
+    the rounds.
 
-    `live` maps names to equal-length arrays over the particles still
-    running: at least "keys" (stream keys), "ctr" (next counters), "rem"
-    (time left), "x" and "v". They go to C as they are, so they are the
-    driver's own, contiguous and of 8-byte types; lockstep compacts them in
-    place. In round r every live particle draws its flight dtau = (eps^2 /
-    sigma) Exp(1) at its next counter. Time left is the only exit: a
-    particle whose flight reaches rem finishes with r collisions at
-    x + (v / eps) tail, where tail = rem is its last flight. out_x is preset
-    to that position for r = 0, so a round-0 finisher costs only its flight
-    draw. From round 1 on, finish(fin, slots, r, tail), if given, gets the
-    finishers' live positions and output slots, for the driver's other
-    outputs. The others collide: collide(dtau) moves them (dtau is
-    live["dtau"], lockstep's buffer), and one it leaves with rem = 0
-    finishes at its next flight. A round where some particle finishes drops
-    them from every array in one order-keeping C pass.
+    `live` maps names to equal-length arrays over the particles: at least
+    "keys" (stream keys), "ctr" (next counters), "rem" (time left), "x" and
+    "v", each contiguous and of an 8-byte type. Round 0 reads them and never
+    writes them, so they may be the caller's inputs; lockstep then replaces
+    each with an array it owns over the particles still running, which it
+    compacts in place without keeping their order. In round r every live
+    particle draws its flight dtau = (eps^2 / sigma) Exp(1) at its next
+    counter. Time left is the only exit: a particle whose flight reaches rem
+    finishes with r collisions at x + (v / eps) tail, where tail = rem is its
+    last flight. Round 0 presets out_x to that position, so a round-0
+    finisher costs only its flight draw and is never copied. From round 1
+    on, finish(fin, slots, r, tail), if given, gets the finishers' live
+    positions and output slots, for the driver's other outputs. The others
+    collide: collide(dtau) moves them (dtau is live["dtau"], lockstep's
+    buffer), and one it leaves with rem = 0 finishes at its next flight.
     """
-    eps, n = params.eps, live["rem"].size
-    np.multiply(np.divide(live["v"], eps, out=out_x), live["rem"], out=out_x)  # no temporary
-    out_x += live["x"]
+    eps, scale, n = params.eps, params.eps * params.eps / params.sigma, live["rem"].size
     t_loop = time.perf_counter()
-    live["dtau"] = np.empty(n)
-    done_buf = np.empty(n, dtype=np.bool_)
-    slots = None  # each live particle's output slot; None while none has left
+    dtau, done_buf = np.empty(n), np.empty(n, dtype=np.bool_)
+    # .ctypes.data: the inputs may be read-only, and _addr takes writable arrays only
+    _draws.uniforms(live["keys"].ctypes.data, live["ctr"].ctypes.data, 1.0, _addr(dtau), n)
+    np.log(dtau, out=dtau)
+    count = _draws.flights(live["rem"].ctypes.data, _addr(dtau), None, _addr(done_buf),
+                           live["x"].ctypes.data, live["v"].ctypes.data, _addr(out_x), scale,
+                           eps, n)
+    if count == n:
+        return time.perf_counter() - t_loop
+    # the particles still running, in arrays lockstep owns; a population with
+    # no round-0 finisher is copied whole, and its live positions are its slots
+    slots = np.flatnonzero(~done_buf) if count else None
+    for name, col in live.items():
+        live[name] = col.copy() if slots is None else col[slots]
+    live["dtau"] = dtau if slots is None else dtau[slots]
+    live["ctr"] += np.uint64(1)
     rnd = 0
-
-    def retire(done, count):
-        # finish the `count` flagged particles and drop them; False once none is left
-        nonlocal slots
-        m = done.size
-        if rnd:
-            fin = slice(None) if count == m else np.flatnonzero(done)
-            out, tail = fin if slots is None else slots[fin], live["rem"][fin]
-            out_x[out] = live["x"][fin] + (live["v"][fin] / eps) * tail
-            if finish:
-                finish(fin, out, rnd, tail)
+    while True:
+        collide(live["dtau"])
+        rnd += 1
+        m = live["rem"].size
+        ctr, dtau, done = live["ctr"], live["dtau"], done_buf[:m]
+        _draws.uniforms(_addr(live["keys"]), _addr(ctr), 1.0, _addr(dtau), m)
+        np.log(dtau, out=dtau)
+        count = _draws.flights(_addr(live["rem"]), _addr(dtau), _addr(ctr), _addr(done),
+                               None, None, None, scale, eps, m)
+        if not count:
+            continue
+        fin = slice(None) if count == m else np.flatnonzero(done)
+        out, tail = fin if slots is None else slots[fin], live["rem"][fin]
+        out_x[out] = live["x"][fin] + (live["v"][fin] / eps) * tail
+        if finish:
+            finish(fin, out, rnd, tail)
         if count == m:
-            return False
+            return time.perf_counter() - t_loop
         fresh = slots is None
         if fresh:
-            slots = np.empty(m - count, dtype=np.int64)  # compact fills it with positions
+            slots = np.arange(m - count)  # compact gives the moved particles their positions
         cols = [*live.values(), slots]
         left = _draws.compact(_addr(done), m, (ctypes.c_void_p * len(cols))(*map(_addr, cols)),
                               len(cols) - 1, fresh)
         for name in live:
             live[name] = live[name][:left]
         slots = slots[:left]
-        return True
-
-    while True:
-        m = live["rem"].size
-        ctr, dtau, done = live["ctr"], live["dtau"], done_buf[:m]
-        _draws.uniforms(_addr(live["keys"]), _addr(ctr), 1.0, _addr(dtau), m)
-        np.log(dtau, out=dtau)
-        count = _draws.flights(_addr(live["rem"]), _addr(dtau), _addr(ctr), _addr(done),
-                               eps * eps / params.sigma, m)
-        if count and not retire(done, count):
-            break
-        collide(live["dtau"])
-        rnd += 1
-    return time.perf_counter() - t_loop
 
 
 def map_chunked(fn, n, threads=1, chunk=1 << 16):

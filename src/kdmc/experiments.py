@@ -73,9 +73,11 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     Candidates stay inside the point's window of _POINT_STRIDE streams; a
     point that would need more fails rather than reuse the next point's.
     Each batch runs whole, as slices of at most threads << 16 candidates
-    whose inputs are views of one buffer, and the accepted paths go straight
-    into n-sized outputs: memory is O(threads * 2**16 + n) whatever the
-    acceptance rate. Returns (stream ids, displacement, first overlap, last
+    whose inputs are views of one buffer, which the engine reads in place:
+    it copies only the candidates that collide. The accepted paths go
+    straight into n-sized outputs, so memory is O(threads * 2**16 + n)
+    whatever the acceptance rate, and each grid point's arrays die before
+    the next point starts. Returns (stream ids, displacement, first overlap, last
     overlap, final velocity) of the accepted paths.
     """
     (_, k2, _, _), _ = _kernel_table(params.collisionality(dt))
@@ -98,7 +100,7 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
             m = min(width, end - lo)
             ens = kinetic_ensemble(params, x0[:m], v0s[:m], dt, seed,
                                    stream_lo=stream_lo + lo, threads=threads)
-            keep = np.flatnonzero(ens.collisions)[:n - got]
+            keep = np.flatnonzero(ens.collisions != 0)[:n - got]
             new = slice(got, got + keep.size)
             out[0][new] = np.uint64(stream_lo + lo) + keep.astype(np.uint64)
             for dst, src in zip(out[1:], (ens.x, ens.first_overlap, ens.last_overlap, ens.v)):
@@ -137,6 +139,24 @@ def _stratified_w1(order_key, a, b, bins):
     return total / n
 
 
+def _single_step_low_point(config, params, i, dt):
+    """One dt of run_single_step_low: its row, from arrays that die on return."""
+    base = config.seed
+    streams, dx_kin, tau_first, theta_last, v_next = _rejection_kinetic_paths(
+        params, config.v0, dt, config.particles, base, i * _POINT_STRIDE, threads=config.threads
+    )
+    m_last, var_last = conditioned_mean_var(params, theta_last, v_next)
+    cond_w1 = _w1_point_vs_gaussian(m_last, np.sqrt(var_last), (v_next / params.eps) * theta_last)
+    w1_vtheta = float(np.mean(cond_w1))
+    # coupled KD paths: same first collision, same final velocity
+    theta_kd = dt - tau_first
+    z = normal_from_counter(base, streams + np.uint64(_SIDE_OFFSET), np.uint64(0))
+    m_kd, var_kd = conditioned_mean_var(params, theta_kd, v_next)
+    dx_kd = (config.v0 / params.eps) * tau_first + m_kd + np.sqrt(var_kd) * z
+    w1_v = _stratified_w1(v_next, dx_kin, dx_kd, config.velocity_bins)
+    return dt, w1_vtheta, w1_v, bound_low_conditioned(params, dt)
+
+
 def run_single_step_low(config):
     """Single-step kinetic-vs-KD error against the low-collisional bound.
 
@@ -149,26 +169,7 @@ def run_single_step_low(config):
     and final velocity per pair) within strata of the final velocity.
     """
     params = BackgroundParams(config.sigma, config.u, config.temperature, config.eps)
-    n = config.particles
-    rows = []
-    for i, dt in enumerate(config.dt_grid):
-        base = config.seed
-        lo = i * _POINT_STRIDE
-        streams, dx_kin, tau_first, theta_last, v_next = _rejection_kinetic_paths(
-            params, config.v0, dt, n, base, lo, threads=config.threads
-        )
-        m_last, var_last = conditioned_mean_var(params, theta_last, v_next)
-        cond_w1 = _w1_point_vs_gaussian(
-            m_last, np.sqrt(var_last), (v_next / params.eps) * theta_last
-        )
-        w1_vtheta = float(np.mean(cond_w1))
-        # coupled KD paths: same first collision, same final velocity
-        theta_kd = dt - tau_first
-        z = normal_from_counter(base, streams + np.uint64(_SIDE_OFFSET), np.uint64(0))
-        m_kd, var_kd = conditioned_mean_var(params, theta_kd, v_next)
-        dx_kd = (config.v0 / params.eps) * tau_first + m_kd + np.sqrt(var_kd) * z
-        w1_v = _stratified_w1(v_next, dx_kin, dx_kd, config.velocity_bins)
-        rows.append((dt, w1_vtheta, w1_v, bound_low_conditioned(params, dt)))
+    rows = [_single_step_low_point(config, params, i, dt) for i, dt in enumerate(config.dt_grid)]
     return ExperimentResult(("dt", "w1_cond_v_theta", "w1_cond_v", "bound"), rows)
 
 
@@ -255,12 +256,36 @@ def _bimodal_source(n, seed, stream_lo):
     return np.zeros(n), v0
 
 
+def _histogram_point(config, spec, i, eps, n_steps):
+    """One eps of run_histogram: its rows, from arrays that die on return."""
+    params = BackgroundParams(config.sigma, config.u, config.temperature, eps)
+    lo = i * _POINT_STRIDE
+    x0, v0 = _bimodal_source(config.particles, config.seed, lo)
+    ctr0 = np.uint64(2)
+    kin = kinetic_ensemble(
+        params, x0, v0, config.t_end, config.seed, stream_lo=lo, ctr0=ctr0,
+        threads=config.threads,
+    ).x
+    kd = kd_ensemble(
+        params, x0, v0, config.dt, n_steps, config.seed, stream_lo=lo, ctr0=ctr0,
+        threads=config.threads,
+    ).x
+    rw = random_walk_ensemble(
+        params, x0, config.dt, n_steps, config.seed, stream_lo=lo, ctr0=ctr0,
+        threads=config.threads,
+    )
+    w1s = (w1_sorted(kin, kd), w1_sorted(kin, rw), w1_sorted(kd, rw))
+    pooled = float(np.std(np.concatenate([kin, kd]), ddof=1))
+    counts = (spec.counts(kin), spec.counts(kd), spec.counts(rw))
+    edges = spec.edges
+    return [(eps, float(edges[b]), float(edges[b + 1]), *(int(c[b]) for c in counts), *w1s,
+             pooled) for b in range(spec.bins)]
+
+
 def run_histogram(config):
     """Final-position histograms of the three schemes from the bimodal
     source, one KD/random-walk step covering the whole horizon."""
     spec = HistogramSpec(config.histogram_lo, config.histogram_hi, config.histogram_bins)
-    n = config.particles
-    rows = []
     header = (
         "eps",
         "bin_lo",
@@ -274,44 +299,8 @@ def run_histogram(config):
         "pooled_std",
     )
     n_steps = step_count(config.t_end, config.dt)
-    for i, eps in enumerate(config.eps_list):
-        params = BackgroundParams(config.sigma, config.u, config.temperature, eps)
-        lo = i * _POINT_STRIDE
-        x0, v0 = _bimodal_source(n, config.seed, lo)
-        ctr0 = np.uint64(2)
-        kin = kinetic_ensemble(
-            params, x0, v0, config.t_end, config.seed, stream_lo=lo, ctr0=ctr0,
-            threads=config.threads,
-        )
-        kd = kd_ensemble(
-            params, x0, v0, config.dt, n_steps, config.seed, stream_lo=lo, ctr0=ctr0,
-            threads=config.threads,
-        )
-        rw = random_walk_ensemble(
-            params, x0, config.dt, n_steps, config.seed, stream_lo=lo, ctr0=ctr0,
-            threads=config.threads,
-        )
-        w1_kin_kd = w1_sorted(kin.x, kd.x)
-        w1_kin_rw = w1_sorted(kin.x, rw)
-        w1_kd_rw = w1_sorted(kd.x, rw)
-        pooled = float(np.std(np.concatenate([kin.x, kd.x]), ddof=1))
-        counts = (spec.counts(kin.x), spec.counts(kd.x), spec.counts(rw))
-        edges = spec.edges
-        for b in range(spec.bins):
-            rows.append(
-                (
-                    eps,
-                    float(edges[b]),
-                    float(edges[b + 1]),
-                    int(counts[0][b]),
-                    int(counts[1][b]),
-                    int(counts[2][b]),
-                    w1_kin_kd,
-                    w1_kin_rw,
-                    w1_kd_rw,
-                    pooled,
-                )
-            )
+    rows = [row for i, eps in enumerate(config.eps_list)
+            for row in _histogram_point(config, spec, i, eps, n_steps)]
     return ExperimentResult(header, rows)
 
 
@@ -334,27 +323,19 @@ def run_speedup(config):
         v0 = _maxwellian(params, config.seed, lo, n)
         x0 = np.zeros(n)
 
-        def kin_run():
-            return kinetic_ensemble(
-                params, x0, v0, config.t_end, config.seed, stream_lo=lo, ctr0=np.uint64(1),
-                threads=config.threads,
-            )
-
-        def kd_run():
-            return kd_ensemble(
-                params, x0, v0, dt, n_steps, config.seed, stream_lo=lo, ctr0=np.uint64(1),
-                threads=config.threads,
-            )
+        def run(ensemble, *steps):
+            # the collision total and the loop seconds; the ensemble's arrays die here
+            ens = ensemble(params, x0, v0, *steps, config.seed, stream_lo=lo, ctr0=np.uint64(1),
+                           threads=config.threads)
+            return ens.total_collisions, ens.loop_seconds
 
         reps = config.timing_reps if config.measure_time else 1
         kin_times, kd_times = [], []
         for _ in range(reps):
-            kin = kin_run()
-            kin_times.append(kin.loop_seconds)
-            kd = kd_run()
-            kd_times.append(kd.loop_seconds)
-        kin_total = kin.total_collisions
-        kd_total = kd.total_collisions
+            kin_total, t = run(kinetic_ensemble, config.t_end)
+            kin_times.append(t)
+            kd_total, t = run(kd_ensemble, dt, n_steps)
+            kd_times.append(t)
         measured = kin_total / max(kd_total, 1)
         (_, k2, _, _), _ = _kernel_table(coll)
         analytic = coll / float(k2[0])
@@ -389,11 +370,10 @@ def run_moments_check(config):
                 lo = row_index * _POINT_STRIDE
                 row_index += 1
                 v0 = _maxwellian(params, config.seed, lo, n)
-                kin = kinetic_ensemble(
+                mom = sample_moments(kinetic_ensemble(
                     params, np.zeros(n), v0, dt, config.seed, stream_lo=lo, ctr0=np.uint64(1),
                     threads=config.threads,
-                )
-                mom = sample_moments(kin.x)
+                ).x)
                 mean_ref = mean_unconditioned(params, dt)
                 var_ref = var_unconditioned(params, dt)
                 mean_ok = abs(mom.mean - mean_ref) <= 4 * mom.se_mean
@@ -407,11 +387,10 @@ def run_moments_check(config):
                     v_final = params.eps * u + c * math.sqrt(temp)
                     lo = row_index * _POINT_STRIDE
                     row_index += 1
-                    dx = conditioned_increment_ensemble(
+                    mom = sample_moments(conditioned_increment_ensemble(
                         params, dt, v_final, n=n, seed=config.seed, stream_lo=lo,
                         threads=config.threads,
-                    )
-                    mom = sample_moments(dx)
+                    ))
                     mean_ref, var_ref = conditioned_mean_var(params, dt, v_final)
                     mean_ok = abs(mom.mean - mean_ref) <= 4 * mom.se_mean
                     var_ok = abs(mom.variance - var_ref) <= 4 * mom.se_variance

@@ -165,11 +165,11 @@ def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
     out_coll[:] = 0
     live = {
         "keys": stream_keys(seed, streams),
-        "ctr": ctr0.copy(),
+        "ctr": ctr0,
         "rem": np.full(n, n_steps * dt),
         "left": np.full(n, n_steps, dtype=np.int64),  # steps not yet started
-        "x": x0.copy(),
-        "v": v0.copy(),
+        "x": x0,
+        "v": v0,
     }
     kd, ea = (ctypes.c_double * 6)(*_substep_constants(params, dt)), np.empty(n)
 

@@ -108,10 +108,10 @@ def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0, out):
     out_last[:] = duration
     live = {
         "keys": stream_keys(seed, streams),
-        "ctr": ctr0.copy(),
+        "ctr": ctr0,
         "rem": np.full(n, float(duration)),
-        "x": x0.copy(),
-        "v": v0.copy(),
+        "x": x0,
+        "v": v0,
     }
 
     def finish(fin, slots, rnd, tail):

@@ -48,10 +48,10 @@ def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0, out):
     # alone; lockstep writes the increments into out, this chunk's slice
     live = {
         "keys": stream_keys(seed, streams),
-        "ctr": ctr0.copy(),
-        "rem": durations.copy(),
+        "ctr": ctr0,
+        "rem": durations,
         "x": np.zeros(durations.shape[0]),
-        "v": v_final.copy(),
+        "v": v_final,
     }
     lockstep(live, params, out, lambda dtau: collision(ORACLE, live, dtau, params))
 
@@ -72,7 +72,7 @@ def conditioned_increment_ensemble(
     `durations` and `v_final` may be scalars or per-path arrays (per-path
     step lengths are needed when conditioning on the remaining time).
     """
-    durations = np.asarray(durations, dtype=np.float64)
+    durations = np.require(durations, np.float64, "C")
     v_final = finite("v_final", v_final)
     if durations.ndim == 0:
         if n is None:

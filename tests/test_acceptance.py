@@ -14,6 +14,7 @@ tolerances instead.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,12 +274,12 @@ class TestCriterion8Determinism:
             doc.update(extra)
             cfg = config_from_dict(doc)
             run_experiment(cfg).write(cfg.out)
-            baseline = open(cfg.out, "rb").read()
+            baseline = Path(cfg.out).read_bytes()
             run_experiment(cfg).write(cfg.out)
-            replay_same = open(cfg.out, "rb").read() == baseline
+            replay_same = Path(cfg.out).read_bytes() == baseline
             threaded = config_from_dict({**doc, "threads": 3})
             run_experiment(threaded).write(cfg.out)
-            threads_same = open(cfg.out, "rb").read() == baseline
+            threads_same = Path(cfg.out).read_bytes() == baseline
             ok = ok and replay_same and threads_same
         report("criterion 8 (byte-identical determinism)", ok,
                f"{len(self.CASES)} experiments, reruns and 3-thread runs")

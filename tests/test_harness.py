@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +90,7 @@ class TestConfig:
         cfg = small_config("histogram", tmp_path, seed=seed, particles=200)
         assert cfg.seed == seed
         run_experiment(cfg).write(cfg.out)
-        assert len(open(cfg.out).read().splitlines()) > 1
+        assert len(Path(cfg.out).read_text().splitlines()) > 1
 
     def test_defaults_follow_experiment(self):
         low = config_from_dict({"experiment": "single-step-low", "seed": 2})
@@ -281,14 +283,32 @@ class TestDeterminism:
         cfg1 = small_config(experiment, tmp_path, **extra)
         res1 = run_experiment(cfg1)
         res1.write(cfg1.out)
-        first = open(cfg1.out, "rb").read()
+        first = Path(cfg1.out).read_bytes()
         res2 = run_experiment(cfg1)
         res2.write(cfg1.out)
-        assert open(cfg1.out, "rb").read() == first
+        assert Path(cfg1.out).read_bytes() == first
         threaded = dataclasses.replace(cfg1, threads=3)
         res3 = run_experiment(threaded)
         res3.write(cfg1.out)
-        assert open(cfg1.out, "rb").read() == first
+        assert Path(cfg1.out).read_bytes() == first
+
+
+class TestGridMemory:
+    @pytest.mark.parametrize("experiment,grid,point", [("single-step-low", "dt_grid", 0.1),
+                                                       ("histogram", "eps_list", 1.0)])
+    def test_one_grid_point_alive_at_a_time(self, tmp_path, experiment, grid, point):
+        # a grid point's arrays die before the next point starts, so three
+        # equal points peak as high as one
+        def peak(points):
+            cfg = small_config(experiment, tmp_path, particles=20_000, **{grid: [point] * points})
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3) <= 1.05 * peak(1)
 
 
 class TestCli:

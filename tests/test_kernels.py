@@ -228,8 +228,22 @@ def test_flights(n):
     scale, done = 0.37, np.empty(n, dtype=np.bool_)
     want = np.negative(lg) * scale
     live["rem"][::3] = want[::3]  # a flight that exactly reaches its remaining time is done
+    eps = 0.6
+    before = copy_of(live)
+    # round 0 reads its inputs and presets out_x; later rounds step the counters
+    out_x = np.full(n, np.nan)
+    dtau = lg.copy()
+    count = _draws.flights(addr(live["rem"]), addr(dtau), None, addr(done), addr(live["x"]),
+                           addr(live["v"]), addr(out_x), scale, eps, n)
+    assert same_bits(dtau, want)
+    assert np.array_equal(done, want >= live["rem"]) and count == done.sum()
+    assert same_bits(out_x, (live["v"] / eps) * live["rem"] + live["x"])
+    for name in live:
+        assert same_bits(live[name], before[name]), name
+    done[:] = False
     ctr = live["ctr"].copy()
-    count = _draws.flights(addr(live["rem"]), addr(lg), addr(ctr), addr(done), scale, n)
+    count = _draws.flights(addr(live["rem"]), addr(lg), addr(ctr), addr(done), None, None, None,
+                           scale, eps, n)
     assert same_bits(lg, want)
     assert np.array_equal(ctr, live["ctr"] + np.uint64(1))
     assert np.array_equal(done, want >= live["rem"]) and count == done.sum()
@@ -381,22 +395,26 @@ def test_compact(mask, n):
     cols = [rng.normal(size=n), rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
             rng.integers(-9, 9, n)]
     before = [a.copy() for a in cols]
-    keep = ~done
-    # fresh: the slots become the kept positions
-    slots = np.full(n, -1, dtype=np.int64)
-    left = compact(done, cols, slots, True)
-    assert left == keep.sum()
-    assert np.array_equal(slots[:left], np.flatnonzero(keep))
+    keep = np.flatnonzero(~done)
+    left = keep.size
+    # fresh: the slots start as the positions 0, 1, ... and end naming the
+    # position each kept row came from
+    slots = np.arange(left)
+    assert compact(done, cols, slots, True) == left
+    assert np.array_equal(np.sort(slots), keep)  # the unfinished particles, each once
     for a, b in zip(cols, before):
-        assert same_bits(a[:left], b[keep])
-    # later rounds: the slots are compacted as a column
-    slots = rng.permutation(n).astype(np.int64)
-    want = slots[keep]
-    cols = [b.copy() for b in before]
-    assert compact(done, cols, slots, False) == left
-    assert np.array_equal(slots[:left], want)
-    for a, b in zip(cols, before):
-        assert same_bits(a[:left], b[keep])
+        assert same_bits(a[:left], b[slots])
+    # only finished particles' places are refilled: a kept particle below the
+    # count stays where it was
+    stay = keep[keep < left]
+    assert np.array_equal(slots[stay], stay)
+    # later rounds: the slots are a column, moved as the fresh mode moves them
+    ids = rng.permutation(n).astype(np.int64)
+    got, moved = [b.copy() for b in before], ids.copy()
+    assert compact(done, got, moved, False) == left
+    assert np.array_equal(moved[:left], ids[slots])
+    for a, b in zip(got, cols):
+        assert same_bits(a[:left], b[:left])
 
 
 class TestNdtriBlocks:
@@ -494,10 +512,30 @@ def test_oracle_matches_numpy_engine(horizon, n, interleaved):
 
 
 def test_inputs_are_not_written():
-    p, x0, v0, ctr0 = round_zero_inputs(257)
-    saved = [a.copy() for a in (x0, v0, ctr0)]
-    kinetic_ensemble(p, x0, v0, 0.3, 9, ctr0=ctr0)
-    kd_ensemble(p, x0, v0, 0.1, 3, 9, ctr0=ctr0)
-    conditioned_increment_ensemble(p, 0.3, v0, n=257, seed=9, ctr0=ctr0)
-    for a, b in zip((x0, v0, ctr0), saved):
-        assert same_bits(a, b)
+    # round 0 reads x0, v0, ctr0, durations and v_final where they are, so
+    # read-only inputs work and come back bit for bit, whether none, some or
+    # all particles finish in round 0; strided views run as their
+    # contiguous copies
+    for population in ROUND_ZERO_POPULATIONS:
+        horizon, least, most = population.values
+        p, x0, v0, ctr0 = round_zero_inputs()
+        durations = np.full(x0.size, horizon)
+        durations[::5] *= 0.5
+        inputs = (x0, v0, ctr0, durations)
+        saved = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+
+        def run(x0, v0, ctr0, durations):
+            kin = kinetic_ensemble(p, x0, v0, horizon, 9, ctr0=ctr0, chunk=16)
+            kd = kd_ensemble(p, x0, v0, horizon / 4, 4, 9, ctr0=ctr0, chunk=16)
+            dx = conditioned_increment_ensemble(p, durations, v0, seed=9, ctr0=ctr0, chunk=16)
+            return kin.collisions, (kin.x, kin.v, kd.x, kd.v, dx)
+
+        collisions, got = run(*inputs)
+        assert least <= np.count_nonzero(collisions) <= most
+        for a, b in zip(inputs, saved):
+            assert same_bits(a, b)
+        _, strided = run(*(np.repeat(a, 2)[::2] for a in saved))
+        for a, b in zip(strided, got):
+            assert same_bits(a, b)
