@@ -21,17 +21,28 @@ static inline uint64_t mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
-void stream_keys(uint64_t seed, const uint64_t *stream, uint64_t *out, ptrdiff_t n)
+static inline uint64_t key(uint64_t seed, uint64_t stream)
 {
-    for (ptrdiff_t i = 0; i < n; i++)
-        out[i] = mix(seed ^ mix(stream[i] + PHI));
+    return mix(seed ^ mix(stream + PHI));
 }
 
-/* ((mix(key + (counter + 1) phi) >> 11) + offset) 2^-53 */
-void uniforms(const uint64_t *keys, const uint64_t *ctr, double offset, double *out, ptrdiff_t n)
+/* the keys of streams lo + stream[i], or lo + i with no stream ids */
+void stream_keys(uint64_t seed, uint64_t lo, const uint64_t *stream, uint64_t *out, ptrdiff_t n)
 {
     for (ptrdiff_t i = 0; i < n; i++)
-        out[i] = ((double)(mix(keys[i] + (ctr[i] + 1) * PHI) >> 11) + offset) * 0x1p-53;
+        out[i] = key(seed, lo + (stream ? stream[i] : (uint64_t)i));
+}
+
+/* ((mix(key + (counter + 1) phi) >> 11) + offset) 2^-53, at element
+ * stride cs of the counters: 1, or 0 for one counter for all. With no
+ * keys, particle i's key is hashed here, from stream lo + i. */
+void uniforms(const uint64_t *keys, uint64_t seed, uint64_t lo, const uint64_t *ctr, ptrdiff_t cs,
+              double offset, double *out, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        uint64_t k = keys ? keys[i] : key(seed, lo + (uint64_t)i), c = cs ? ctr[i] : ctr[0];
+        out[i] = ((double)(mix(k + (c + 1) * PHI) >> 11) + offset) * 0x1p-53;
+    }
 }
 
 /* cephes' coefficients; a leading 1.0 is p1evl's implicit one (1.0 * x == x) */
@@ -165,7 +176,7 @@ void ndtr(double *a, ptrdiff_t n)
 void normals(const uint64_t *keys, const uint64_t *ctr, double *out, ptrdiff_t n)
 {
     for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
-        uniforms(keys + lo, ctr + lo, 0.5, out + lo, BLOCK(n, lo));
+        uniforms(keys + lo, 0, 0, ctr + lo, 1, 0.5, out + lo, BLOCK(n, lo));
         ndtri_block(out + lo, BLOCK(n, lo));
     }
 }
@@ -174,19 +185,23 @@ void normals(const uint64_t *keys, const uint64_t *ctr, double *out, ptrdiff_t n
  * becomes -log(u) scale and done flags the flights that reach their
  * remaining time rem. Returns the number done. Later rounds step the
  * counters ctr; round 0 (ctr NULL) only reads its inputs, x and v among
- * them, and presets out_x to where each particle's flight would finish it,
- * (v / eps) rem + x. */
-ptrdiff_t flights(const double *rem, double *dtau, uint64_t *ctr, _Bool *done, const double *x,
-                  const double *v, double *out_x, double scale, double eps, ptrdiff_t n)
+ * them, each at its element stride, 1 or 0 for one value for all, and
+ * presets out_x to where each particle's flight would finish it,
+ * (v / eps) rem + x. The strides select values, not addresses, so each
+ * case vectorizes. */
+ptrdiff_t flights(const double *rem, ptrdiff_t sr, double *dtau, uint64_t *ctr, _Bool *done,
+                  const double *x, ptrdiff_t sx, const double *v, ptrdiff_t sv, double *out_x,
+                  double scale, double eps, ptrdiff_t n)
 {
     ptrdiff_t count = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
+        double r = sr ? rem[i] : rem[0];
         dtau[i] = -dtau[i] * scale;
         if (ctr)
             ctr[i] += 1;
         else
-            out_x[i] = (v[i] / eps) * rem[i] + x[i];
-        done[i] = dtau[i] >= rem[i];
+            out_x[i] = ((sv ? v[i] : v[0]) / eps) * r + (sx ? x[i] : x[0]);
+        done[i] = dtau[i] >= r;
         count += done[i];
     }
     return count;

@@ -39,7 +39,7 @@ __all__ = [
     "normal_keyed",
     "exponential_keyed",
     "sample_maxwellian",
-    "stream_inputs",
+    "ensemble_io",
     "finite",
     "step_count",
     "whole_steps",
@@ -97,10 +97,11 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
         _build(src, flags, lib)
     draws = ctypes.CDLL(lib)  # its calls release the GIL
     p, n, f, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
+    u = ctypes.c_uint64
     for fn, args, res in (
-        ("stream_keys", (ctypes.c_uint64, p, p, n), None), ("uniforms", (p, p, f, p, n), None),
+        ("stream_keys", (u, u, p, p, n), None), ("uniforms", (p, u, u, p, n, f, p, n), None),
         ("normals", (p, p, p, n), None), ("ndtri", (p, n), None), ("ndtr", (p, n), None),
-        ("flights", (p, p, p, p, p, p, p, f, f, n), n), ("compact", (p, n, p, i, i), n),
+        ("flights", (p, n, p, p, p, p, n, p, n, p, f, f, n), n), ("compact", (p, n, p, i, i), n),
         ("collide", (i, p, p, p, p, p, p, p, p, p, f, f, f, n), None),
         ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
     ):
@@ -119,7 +120,7 @@ def stream_keys(seed, stream):
     stream = np.asarray(stream, dtype=np.uint64)
     s = np.ascontiguousarray(stream.reshape(-1))
     keys = np.empty_like(s)
-    _draws.stream_keys(int(np.uint64(seed)), s.ctypes.data, keys.ctypes.data, keys.size)
+    _draws.stream_keys(int(np.uint64(seed)), 0, s.ctypes.data, keys.ctypes.data, keys.size)
     return keys[0] if stream.ndim == 0 else keys.reshape(stream.shape)
 
 
@@ -133,6 +134,11 @@ def _keyed(fn, keys, counter, *args):
             for a in (keys, counter))
     fn(k.ctypes.data, c.ctypes.data, *args, out.ctypes.data, out.size)
     return out
+
+
+def _uniforms(keys, ctr, out, n):
+    # the uniforms on (0, 1] at the given keys and contiguous counters
+    _draws.uniforms(keys, 0, 0, ctr, 1, 1.0, out, n)
 
 
 def _scalar_if(out, keys, counter):
@@ -154,7 +160,7 @@ def ndtr(x):
 
 def exponential_keyed(keys, counter):
     """Unit exponential -ln(u) of a uniform u on (0, 1]; always finite."""
-    u = _keyed(_draws.uniforms, keys, counter, 1.0)
+    u = _keyed(_uniforms, keys, counter)
     np.log(u, out=u)
     return _scalar_if(np.negative(u, out=u), keys, counter)
 
@@ -162,7 +168,7 @@ def exponential_keyed(keys, counter):
 def uniform_open_closed(seed, stream, counter):
     """Uniform draw on (0, 1]; zero is impossible by construction."""
     keys = stream_keys(seed, stream)
-    return _scalar_if(_keyed(_draws.uniforms, keys, counter, 1.0), keys, counter)
+    return _scalar_if(_keyed(_uniforms, keys, counter), keys, counter)
 
 
 def normal_from_counter(seed, stream, counter):
@@ -250,7 +256,12 @@ def sample_maxwellian(params, rng):
 
 def _uint64(name, values):
     # values as a C-contiguous uint64 array; raises ValueError unless they are
-    # integers in [0, 2**64)
+    # integers in [0, 2**64). A sequence of Python ints is taken exactly:
+    # numpy would make [1, 2**64 - 1] float64
+    if isinstance(values, (list, tuple)) and all(type(v) is int for v in values):
+        if not all(0 <= v < 2**64 for v in values):
+            raise ValueError(f"{name} must be in [0, 2**64), got {values!r}")
+        return np.array(values, dtype=np.uint64)
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise ValueError(f"{name} must have an integer dtype, got {values.dtype}")
@@ -259,27 +270,48 @@ def _uint64(name, values):
     return np.require(values, np.uint64, "C")
 
 
-def stream_inputs(n, stream_lo, ctr0):
-    """Stream ids stream_lo + i and starting counters of n particles.
+def ensemble_io(n, stream_lo, ctr0, out, dtypes, **states):
+    """Check the inputs of an ensemble of n particles and give it its
+    outputs before any of it runs; returns (out, views).
 
-    stream_lo is an integer and the streams lie in [0, 2**64). ctr0 is None
-    (every particle starts at counter 0), one counter for all, or one
-    counter per particle, of an integer dtype in [0, 2**64); anything else
-    raises ValueError.
+    Particle i draws from stream stream_lo + i in [0, 2**64) from counter
+    ctr0: None (0), one for all or one per particle, integers in [0, 2**64).
+    `states` are finite floats, one for all or one per particle. out is
+    None, for new arrays of `dtypes`, or the caller's arrays in that order:
+    each writable, contiguous, of n and sharing no memory with the inputs,
+    or None, like any entry past the end of out, for an output not
+    recorded; the first is always recorded.
+    Anything else raises ValueError. views(lo, hi) gives the chunk [lo, hi):
+    its states, first stream id, counters and outputs. One value for all is
+    an np.broadcast_to view of stride 0, never n copies.
     """
     lo = _uint64("stream_lo", stream_lo)
     if lo.ndim or int(lo) + n > 2**64:
         raise ValueError(f"streams stream_lo + i for i < {n} must lie in [0, 2**64), "
                          f"got stream_lo = {stream_lo!r}")
-    streams = np.arange(int(lo), int(lo) + n, dtype=np.uint64)
-    if ctr0 is None:
-        return streams, np.zeros(n, dtype=np.uint64)
-    ctr0 = _uint64("ctr0", ctr0)
-    if ctr0.shape not in ((), (n,)):
-        raise ValueError(
-            f"ctr0 must be one counter or one per particle ({n}), got shape {ctr0.shape}"
-        )
-    return streams, np.full(n, ctr0, dtype=np.uint64) if ctr0.shape == () else ctr0
+    columns = {"ctr0": _uint64("ctr0", 0 if ctr0 is None else ctr0)}
+    columns.update((name, finite(name, values)) for name, values in states.items())
+    for name, col in columns.items():
+        if col.shape not in ((), (n,)):
+            raise ValueError(f"{name} must be one value or one per particle ({n}), "
+                             f"got shape {col.shape}")
+    ctr0, *states = (np.broadcast_to(col, (n,)) if col.ndim == 0 else col
+                     for col in columns.values())
+    out = tuple(np.empty(n, dtype=d) for d in dtypes) if out is None else tuple(out)
+    out += (None,) * (len(dtypes) - len(out))
+    if len(out) != len(dtypes) or not all(
+            isinstance(a, np.ndarray) and a.dtype == d and a.shape == (n,)
+            and a.flags.c_contiguous and a.flags.writeable
+            for k, (a, d) in enumerate(zip(out, dtypes)) if a is not None or not k):
+        raise ValueError(f"out must hold at most {len(dtypes)} entries, the first an array, "
+                         f"the others arrays or None; each array writable, contiguous, of {n} "
+                         f"and of dtype {[np.dtype(d).name for d in dtypes]}")
+
+    def views(a, b):
+        return (*(s[a:b] for s in states), int(lo) + a, ctr0[a:b],
+                [o if o is None else o[a:b] for o in out])
+
+    return out, views
 
 
 def finite(name, values):
@@ -328,38 +360,45 @@ def collision(kind, live, dtau, params, kd=None, ea=None):
         kd, params.eps, math.sqrt(params.temperature), params.eps * params.u, dtau.size)
 
 
-def lockstep(live, params, out_x, collide, finish=None):
+def _col(a):
+    # a column's data, read in place, and its element stride: 1, or 0 for one value for all
+    return a.ctypes.data, int(a.strides[0] != 0)
+
+
+def lockstep(live, params, seed, stream_lo, out_x, collide, finish=None):
     """Run a particle population to the end in lockstep rounds and write
     each particle's final position into out_x; returns the wall seconds of
-    the rounds.
+    the rounds and the number of collisions.
 
-    `live` maps names to equal-length arrays over the particles: at least
-    "keys" (stream keys), "ctr" (next counters), "rem" (time left), "x" and
-    "v", each contiguous and of an 8-byte type. Round 0 reads them and never
-    writes them, so they may be the caller's inputs; lockstep then replaces
-    each with an array it owns over the particles still running, which it
-    compacts in place without keeping their order. In round r every live
-    particle draws its flight dtau = (eps^2 / sigma) Exp(1) at its next
-    counter. Time left is the only exit: a particle whose flight reaches rem
-    finishes with r collisions at x + (v / eps) tail, where tail = rem is its
-    last flight. Round 0 presets out_x to that position, so a round-0
-    finisher costs only its flight draw and is never copied. From round 1
-    on, finish(fin, slots, r, tail), if given, gets the finishers' live
-    positions and output slots, for the driver's other outputs. The others
-    collide: collide(dtau) moves them (dtau is live["dtau"], lockstep's
-    buffer), and one it leaves with rem = 0 finishes at its next flight.
+    Particle i draws from stream stream_lo + i under seed. `live` maps names
+    to columns of 8-byte values over the particles: at least "ctr" (next
+    counters), "rem" (time left), "x" and "v". Round 0 reads them at their
+    element stride, 0 for one value for all (an np.broadcast_to view), and
+    never writes them, so they may be the caller's inputs; its uniform pass
+    hashes each particle's stream key. lockstep then replaces each column
+    with a contiguous array it owns over the particles still running, adds
+    their stream keys as "keys", and compacts them in place without keeping
+    their order. In round r every live particle draws its flight dtau =
+    (eps^2 / sigma) Exp(1) at its next counter. Time left is the only exit:
+    a particle whose flight reaches rem finishes with r collisions at
+    x + (v / eps) tail, where tail = rem is its last flight. Round 0 presets
+    out_x to that position, so a round-0 finisher costs only its flight draw
+    and is never copied. From round 1 on, finish(fin, slots, r, tail), if
+    given, gets the finishers' live positions and output slots, for the
+    driver's other outputs. The others collide: collide(dtau) moves them
+    (dtau is live["dtau"], lockstep's buffer), and one it leaves with rem = 0
+    finishes at its next flight.
     """
-    eps, scale, n = params.eps, params.eps * params.eps / params.sigma, live["rem"].size
+    eps, scale, n = params.eps, params.eps * params.eps / params.sigma, out_x.size
+    seed = int(np.uint64(seed))
     t_loop = time.perf_counter()
     dtau, done_buf = np.empty(n), np.empty(n, dtype=np.bool_)
-    # .ctypes.data: the inputs may be read-only, and _addr takes writable arrays only
-    _draws.uniforms(live["keys"].ctypes.data, live["ctr"].ctypes.data, 1.0, _addr(dtau), n)
+    _draws.uniforms(None, seed, stream_lo, *_col(live["ctr"]), 1.0, _addr(dtau), n)
     np.log(dtau, out=dtau)
-    count = _draws.flights(live["rem"].ctypes.data, _addr(dtau), None, _addr(done_buf),
-                           live["x"].ctypes.data, live["v"].ctypes.data, _addr(out_x), scale,
-                           eps, n)
+    count = _draws.flights(*_col(live["rem"]), _addr(dtau), None, _addr(done_buf),
+                           *_col(live["x"]), *_col(live["v"]), _addr(out_x), scale, eps, n)
     if count == n:
-        return time.perf_counter() - t_loop
+        return time.perf_counter() - t_loop, 0
     # the particles still running, in arrays lockstep owns; a population with
     # no round-0 finisher is copied whole, and its live positions are its slots
     slots = np.flatnonzero(~done_buf) if count else None
@@ -367,25 +406,29 @@ def lockstep(live, params, out_x, collide, finish=None):
         live[name] = col.copy() if slots is None else col[slots]
     live["dtau"] = dtau if slots is None else dtau[slots]
     live["ctr"] += np.uint64(1)
-    rnd = 0
+    live["keys"] = np.empty(n - count, dtype=np.uint64)
+    _draws.stream_keys(seed, stream_lo, None if slots is None else slots.ctypes.data,
+                       _addr(live["keys"]), n - count)
+    rnd = collisions = 0
     while True:
         collide(live["dtau"])
         rnd += 1
         m = live["rem"].size
         ctr, dtau, done = live["ctr"], live["dtau"], done_buf[:m]
-        _draws.uniforms(_addr(live["keys"]), _addr(ctr), 1.0, _addr(dtau), m)
+        _draws.uniforms(_addr(live["keys"]), 0, 0, _addr(ctr), 1, 1.0, _addr(dtau), m)
         np.log(dtau, out=dtau)
-        count = _draws.flights(_addr(live["rem"]), _addr(dtau), _addr(ctr), _addr(done),
-                               None, None, None, scale, eps, m)
+        count = _draws.flights(_addr(live["rem"]), 1, _addr(dtau), _addr(ctr), _addr(done),
+                               None, 0, None, 0, None, scale, eps, m)
         if not count:
             continue
+        collisions += rnd * count
         fin = slice(None) if count == m else np.flatnonzero(done)
         out, tail = fin if slots is None else slots[fin], live["rem"][fin]
         out_x[out] = live["x"][fin] + (live["v"][fin] / eps) * tail
         if finish:
             finish(fin, out, rnd, tail)
         if count == m:
-            return time.perf_counter() - t_loop
+            return time.perf_counter() - t_loop, collisions
         fresh = slots is None
         if fresh:
             slots = np.arange(m - count)  # compact gives the moved particles their positions

@@ -74,16 +74,20 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     point that would need more fails rather than reuse the next point's.
     Each batch runs whole, as slices of at most threads << 16 candidates
     whose inputs are views of one buffer, which the engine reads in place:
-    it copies only the candidates that collide. The accepted paths go
-    straight into n-sized outputs, so memory is O(threads * 2**16 + n)
-    whatever the acceptance rate, and each grid point's arrays die before
-    the next point starts. Returns (stream ids, displacement, first overlap, last
-    overlap, final velocity) of the accepted paths.
+    it copies only the candidates that collide, and every slice records
+    into one buffer allocated per call, so no slice faults in output pages
+    of its own. The accepted paths go straight into n-sized outputs, so
+    memory is O(threads * 2**16 + n) whatever the acceptance rate, and each
+    grid point's arrays die before the next point starts. Returns (stream
+    ids, displacement, first overlap, last overlap, final velocity) of the
+    accepted paths.
     """
     (_, k2, _, _), _ = _kernel_table(params.collisionality(dt))
     accept_p = max(float(k2[0]), 1e-12)
     width = threads << 16
     x0, v0s = np.zeros(width), np.full(width, v0)
+    records = (np.empty(width), np.empty(width), np.empty(width, dtype=np.int64), np.empty(width),
+               np.empty(width))
     out = (np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n), np.empty(n), np.empty(n))
     got = 0
     next_candidate = 0
@@ -98,8 +102,8 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
         end = next_candidate + want
         for lo in range(next_candidate, end, width):
             m = min(width, end - lo)
-            ens = kinetic_ensemble(params, x0[:m], v0s[:m], dt, seed,
-                                   stream_lo=stream_lo + lo, threads=threads)
+            ens = kinetic_ensemble(params, x0[:m], v0s[:m], dt, seed, stream_lo=stream_lo + lo,
+                                   threads=threads, out=[a[:m] for a in records])
             keep = np.flatnonzero(ens.collisions != 0)[:n - got]
             new = slice(got, got + keep.size)
             out[0][new] = np.uint64(stream_lo + lo) + keep.astype(np.uint64)
@@ -264,11 +268,11 @@ def _histogram_point(config, spec, i, eps, n_steps):
     ctr0 = np.uint64(2)
     kin = kinetic_ensemble(
         params, x0, v0, config.t_end, config.seed, stream_lo=lo, ctr0=ctr0,
-        threads=config.threads,
+        threads=config.threads, out=(np.empty_like(x0),),
     ).x
     kd = kd_ensemble(
         params, x0, v0, config.dt, n_steps, config.seed, stream_lo=lo, ctr0=ctr0,
-        threads=config.threads,
+        threads=config.threads, out=(np.empty_like(x0),),
     ).x
     rw = random_walk_ensemble(
         params, x0, config.dt, n_steps, config.seed, stream_lo=lo, ctr0=ctr0,
@@ -324,9 +328,10 @@ def run_speedup(config):
         x0 = np.zeros(n)
 
         def run(ensemble, *steps):
-            # the collision total and the loop seconds; the ensemble's arrays die here
+            # the collision total and the loop seconds; only the positions are
+            # recorded, and they die here
             ens = ensemble(params, x0, v0, *steps, config.seed, stream_lo=lo, ctr0=np.uint64(1),
-                           threads=config.threads)
+                           threads=config.threads, out=(np.empty(n),))
             return ens.total_collisions, ens.loop_seconds
 
         reps = config.timing_reps if config.measure_time else 1
@@ -372,7 +377,7 @@ def run_moments_check(config):
                 v0 = _maxwellian(params, config.seed, lo, n)
                 mom = sample_moments(kinetic_ensemble(
                     params, np.zeros(n), v0, dt, config.seed, stream_lo=lo, ctr0=np.uint64(1),
-                    threads=config.threads,
+                    threads=config.threads, out=(np.empty(n),),
                 ).x)
                 mean_ref = mean_unconditioned(params, dt)
                 var_ref = var_unconditioned(params, dt)

@@ -30,15 +30,14 @@ from .core import (
     _addr,
     _draws,
     collision,
+    ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.exponential_keyed
-    finite,
     lockstep,
     map_chunked,
     normal_from_counter,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.normal_from_counter
     normal_keyed,
     sample_maxwellian,
     step_count,
-    stream_inputs,
     stream_keys,
     whole_steps,
 )
@@ -130,19 +129,20 @@ def simulate_random_walk(state, dt, t_end, params, rng):
 
 @dataclass(frozen=True)
 class KdEnsemble:
-    """Vectorized KD results for n particles.
+    """Vectorized KD results for n particles; a record the caller did not
+    ask for (see `kd_ensemble`'s out) is None.
 
     loop_seconds is the summed wall time of the stepping loops alone
     (setup, allocation, and summary excluded)."""
 
     x: np.ndarray
-    v: np.ndarray
-    collisions: np.ndarray
+    v: np.ndarray | None
+    collisions: np.ndarray | None
     loop_seconds: float = 0.0
+    total_collisions: int = 0
 
-    @property
-    def total_collisions(self):
-        return int(self.collisions.sum())
+
+_OUTPUTS = (np.float64, np.float64, np.int64)
 
 
 def _kd_collision(live, dtau, params, kd, ea):
@@ -156,29 +156,33 @@ def _kd_collision(live, dtau, params, kd, ea):
     collision(KD, live, dtau, params, kd, ea=ea)
 
 
-def _kd_chunk(params, x0, v0, dt, n_steps, seed, streams, ctr0, out):
+def _kd_chunk(params, dt, n_steps, seed, x0, v0, stream_lo, ctr0, out):
     n = x0.shape[0]
-    # out: this chunk's slices of the ensemble's x, v and collisions; lockstep
-    # writes x, the rest start at the results of a particle without collisions
+    # out: this chunk's slices of the ensemble's x, v and collisions, or None
+    # where not recorded; lockstep writes x, the rest start at the results of
+    # a particle without collisions
     out_x, out_v, out_coll = out
-    out_v[:] = v0
-    out_coll[:] = 0
+    for a, preset in zip(out[1:], (v0, 0)):
+        if a is not None:
+            a[:] = preset
     live = {
-        "keys": stream_keys(seed, streams),
         "ctr": ctr0,
-        "rem": np.full(n, n_steps * dt),
-        "left": np.full(n, n_steps, dtype=np.int64),  # steps not yet started
+        "rem": np.broadcast_to(n_steps * dt, (n,)),
+        "left": np.broadcast_to(np.int64(n_steps), (n,)),  # steps not yet started
         "x": x0,
         "v": v0,
     }
     kd, ea = (ctypes.c_double * 6)(*_substep_constants(params, dt)), np.empty(n)
 
     def finish(fin, slots, rnd, tail):
-        out_v[slots] = live["v"][fin]
-        out_coll[slots] = rnd
+        if out_v is not None:
+            out_v[slots] = live["v"][fin]
+        if out_coll is not None:
+            out_coll[slots] = rnd
 
-    return lockstep(live, params, out_x,
-                    lambda dtau: _kd_collision(live, dtau, params, kd, ea[:dtau.size]), finish)
+    return lockstep(live, params, seed, stream_lo, out_x,
+                    lambda dtau: _kd_collision(live, dtau, params, kd, ea[:dtau.size]),
+                    finish if any(a is not None for a in out[1:]) else None)
 
 
 def kd_ensemble(
@@ -192,29 +196,25 @@ def kd_ensemble(
     ctr0=None,
     threads=1,
     chunk=1 << 16,
+    out=None,
 ):
     """Advance n particles over n_steps KD steps of size dt.
 
     Same stream/counter discipline as kinetic_ensemble: particle i draws
     from stream stream_lo + i starting at ctr0[i]. On the no-collision
     event the draw sequence and position arithmetic coincide with
-    kinetic_ensemble bit for bit.
+    kinetic_ensemble bit for bit. out is as in kinetic_ensemble, for the
+    records x, v and collisions (int64).
     """
     n_steps = whole_steps(dt, n_steps)
-    x0 = finite("x0", x0)
-    v0 = finite("v0", v0)
-    n = x0.shape[0]
-    if v0.shape[0] != n:
-        raise ValueError("x0 and v0 must have equal length")
-    streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
-    out = (np.empty(n), np.empty(n), np.empty(n, dtype=np.int64))
+    n = len(x0)
+    out, views = ensemble_io(n, stream_lo, ctr0, out, _OUTPUTS, x0=x0, v0=v0)
 
     def run(lo, hi):
-        return _kd_chunk(params, x0[lo:hi], v0[lo:hi], dt, n_steps, seed, streams[lo:hi],
-                         ctr0[lo:hi], [a[lo:hi] for a in out])
+        return _kd_chunk(params, dt, n_steps, seed, *views(lo, hi))
 
-    loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
-    return KdEnsemble(*out, sum(loop_t))
+    loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
+    return KdEnsemble(*out, sum(loop_t), sum(collisions))
 
 
 def random_walk_ensemble(
@@ -230,16 +230,16 @@ def random_walk_ensemble(
 ):
     """Advance n particles over n_steps random-walk steps; returns positions."""
     n_steps = whole_steps(dt, n_steps)
-    x = finite("x0", x0).copy()
-    n = x.shape[0]
-    streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
+    n = len(x0)
+    (x,), views = ensemble_io(n, stream_lo, ctr0, None, (np.float64,), x0=x0)
     drift = params.u * dt
     scale = math.sqrt(2.0 * (params.temperature / params.sigma) * dt)
 
     def run(lo, hi):
-        xs = x[lo:hi]  # steps the output in place
-        ctr = ctr0[lo:hi].copy()
-        keys = stream_keys(seed, streams[lo:hi])
+        x0, first, ctr, (xs,) = views(lo, hi)
+        xs[:] = x0  # then steps the output in place
+        ctr = ctr.copy()
+        keys = stream_keys(seed, np.arange(first, first + hi - lo, dtype=np.uint64))
         for _ in range(n_steps):
             z = normal_keyed(keys, ctr)
             z *= scale

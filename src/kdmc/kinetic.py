@@ -16,14 +16,13 @@ from .core import (
     KINETIC,
     ParticleState,
     collision,
+    ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.exponential_keyed
-    finite,
     lockstep,
     map_chunked,
     normal_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.normal_keyed
     sample_maxwellian,
-    stream_inputs,
-    stream_keys,
+    stream_keys,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.stream_keys
 )
 
 __all__ = [
@@ -79,53 +78,51 @@ def simulate_kinetic(state, t_end, params, rng, record_segments=False):
 
 @dataclass(frozen=True)
 class KineticEnsemble:
-    """Vectorized single-advance results for n particles.
+    """Vectorized single-advance results for n particles; a record the
+    caller did not ask for (see `kinetic_ensemble`'s out) is None.
 
     loop_seconds is the summed wall time of the stepping loops alone
     (setup, allocation, and summary excluded)."""
 
     x: np.ndarray
-    v: np.ndarray
-    collisions: np.ndarray
-    first_overlap: np.ndarray
-    last_overlap: np.ndarray
+    v: np.ndarray | None
+    collisions: np.ndarray | None
+    first_overlap: np.ndarray | None
+    last_overlap: np.ndarray | None
     loop_seconds: float = 0.0
-
-    @property
-    def total_collisions(self):
-        return int(self.collisions.sum())
+    total_collisions: int = 0
 
 
-def _kinetic_chunk(params, x0, v0, duration, seed, streams, ctr0, out):
-    n = x0.shape[0]
+_OUTPUTS = (np.float64, np.float64, np.int64, np.float64, np.float64)
+
+
+def _kinetic_chunk(params, seed, x0, v0, rem, stream_lo, ctr0, out):
     # out: this chunk's slices of the ensemble's x, v, collisions, first and
-    # last overlap; lockstep writes x, the rest start at the results of a
-    # particle without collisions
+    # last overlap, or None where not recorded; lockstep writes x, the rest
+    # start at the results of a particle without collisions
     out_x, out_v, out_coll, out_first, out_last = out
-    out_v[:] = v0
-    out_coll[:] = 0
-    out_first[:] = duration
-    out_last[:] = duration
-    live = {
-        "keys": stream_keys(seed, streams),
-        "ctr": ctr0,
-        "rem": np.full(n, float(duration)),
-        "x": x0,
-        "v": v0,
-    }
+    for a, preset in zip(out[1:], (v0, 0, rem, rem)):
+        if a is not None:
+            a[:] = preset
+    live = {"ctr": ctr0, "rem": rem, "x": x0, "v": v0}
 
     def finish(fin, slots, rnd, tail):
-        out_v[slots] = live["v"][fin]
-        out_coll[slots] = rnd
-        out_first[slots] = live["first"][fin]
-        out_last[slots] = tail
+        if out_v is not None:
+            out_v[slots] = live["v"][fin]
+        if out_coll is not None:
+            out_coll[slots] = rnd
+        if out_first is not None:
+            out_first[slots] = live["first"][fin]
+        if out_last is not None:
+            out_last[slots] = tail
 
     def collide(dtau):
-        if "first" not in live:
+        if out_first is not None and "first" not in live:
             live["first"] = dtau.copy()  # the round-0 flight
         collision(KINETIC, live, dtau, params)
 
-    return lockstep(live, params, out_x, collide, finish)
+    return lockstep(live, params, seed, stream_lo, out_x, collide,
+                    finish if any(a is not None for a in out[1:]) else None)
 
 
 def kinetic_ensemble(
@@ -138,6 +135,7 @@ def kinetic_ensemble(
     ctr0=None,
     threads=1,
     chunk=1 << 16,
+    out=None,
 ):
     """Advance n particles over one interval of length `duration`.
 
@@ -145,21 +143,18 @@ def kinetic_ensemble(
     identical inputs give bit-identical output at any thread count.
     Tracks per-particle collision counts plus the first and last flight
     overlaps with the interval (both equal to `duration` when no collision
-    occurs).
+    occurs). out, if given, holds arrays for the records x, v, collisions
+    (int64), first_overlap and last_overlap, in that order, written in
+    place; a record whose entry is None or past the end of out is not kept,
+    but x always is. total_collisions needs no record.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    x0 = finite("x0", x0)
-    v0 = finite("v0", v0)
-    n = x0.shape[0]
-    if v0.shape[0] != n:
-        raise ValueError("x0 and v0 must have equal length")
-    streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
-    out = (np.empty(n), np.empty(n), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n))
+    n = len(x0)
+    out, views = ensemble_io(n, stream_lo, ctr0, out, _OUTPUTS, x0=x0, v0=v0, duration=duration)
 
     def run(lo, hi):
-        return _kinetic_chunk(params, x0[lo:hi], v0[lo:hi], duration, seed, streams[lo:hi],
-                              ctr0[lo:hi], [a[lo:hi] for a in out])
+        return _kinetic_chunk(params, seed, *views(lo, hi))
 
-    loop_t = map_chunked(run, n, threads=threads, chunk=chunk)
-    return KineticEnsemble(*out, sum(loop_t))
+    loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
+    return KineticEnsemble(*out, sum(loop_t), sum(collisions))

@@ -20,13 +20,12 @@ import numpy as np
 from .core import (
     ORACLE,
     collision,
+    ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.exponential_keyed
-    finite,
     lockstep,
     map_chunked,
     normal_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.normal_keyed
-    stream_inputs,
-    stream_keys,
+    stream_keys,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.stream_keys
 )
 
 __all__ = ["OracleMoments", "conditioned_increment_ensemble", "sample_moments"]
@@ -43,17 +42,12 @@ class OracleMoments:
     n: int
 
 
-def _conditioned_chunk(params, durations, v_final, seed, streams, ctr0, out):
+def _conditioned_chunk(params, seed, durations, v_final, x0, stream_lo, ctr0, out):
     # a path's live "v" is its pinned final velocity, which collisions leave
-    # alone; lockstep writes the increments into out, this chunk's slice
-    live = {
-        "keys": stream_keys(seed, streams),
-        "ctr": ctr0,
-        "rem": durations,
-        "x": np.zeros(durations.shape[0]),
-        "v": v_final,
-    }
-    lockstep(live, params, out, lambda dtau: collision(ORACLE, live, dtau, params))
+    # alone; lockstep writes the increments into out[0], this chunk's slice
+    live = {"ctr": ctr0, "rem": durations, "x": x0, "v": v_final}
+    lockstep(live, params, seed, stream_lo, out[0],
+             lambda dtau: collision(ORACLE, live, dtau, params))
 
 
 def conditioned_increment_ensemble(
@@ -72,25 +66,17 @@ def conditioned_increment_ensemble(
     `durations` and `v_final` may be scalars or per-path arrays (per-path
     step lengths are needed when conditioning on the remaining time).
     """
-    durations = np.require(durations, np.float64, "C")
-    v_final = finite("v_final", v_final)
-    if durations.ndim == 0:
-        if n is None:
-            raise ValueError("scalar duration requires an explicit path count n")
-        durations = np.full(n, float(durations))
-    n = durations.shape[0]
-    if v_final.ndim == 0:
-        v_final = np.full(n, float(v_final))
-    if v_final.shape[0] != n:
-        raise ValueError("durations and v_final must have equal length")
-    if not np.isfinite(durations).all() or (durations < 0).any():
+    durations = np.asarray(durations, dtype=np.float64)
+    if durations.ndim == 0 and n is None:
+        raise ValueError("scalar duration requires an explicit path count n")
+    if (durations < 0).any():
         raise ValueError("durations must be finite and nonnegative")
-    streams, ctr0 = stream_inputs(n, stream_lo, ctr0)
-    dx = np.empty(n)
+    n = durations.shape[0] if durations.ndim else n
+    (dx,), views = ensemble_io(n, stream_lo, ctr0, None, (np.float64,), durations=durations,
+                               v_final=v_final, x0=0.0)
 
     def run(lo, hi):
-        _conditioned_chunk(params, durations[lo:hi], v_final[lo:hi], seed, streams[lo:hi],
-                           ctr0[lo:hi], dx[lo:hi])
+        _conditioned_chunk(params, seed, *views(lo, hi))
 
     map_chunked(run, n, threads=threads, chunk=chunk)
     return dx

@@ -25,6 +25,9 @@ def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
+# both ends of the counter range, including the modular wrap
+EDGE_COUNTERS = [0, 1, 2**64 - 2, 2**64 - 1]
+
 # populations of round_zero_inputs() whose round-0 flights all end inside
 # the horizon, none do, or some do: (horizon, least and most of the 40
 # particles with a collision). The flight scale eps**2 / sigma is about

@@ -24,17 +24,15 @@ from kdmc.core import (
     map_chunked,
     normal_from_counter,
     normal_keyed,
+    ensemble_io,
     step_count,
-    stream_inputs,
     stream_keys,
     uniform_open_closed,
 )
-from conftest import StubRng, moment_check
+from conftest import EDGE_COUNTERS, StubRng, moment_check
 
 _MASK = 2**64 - 1
 _PHI = 0x9E3779B97F4A7C15
-# both ends of the counter range, including the modular wrap
-EDGE_COUNTERS = [0, 1, 2**64 - 2, 2**64 - 1]
 
 
 def _mix(z):
@@ -257,8 +255,8 @@ class TestLockstep:
         rem0 = np.full(n, 1e300)
         rem0[[0, 3]] = first[[0, 3]] / 2
         x0, v0 = np.arange(n) + 0.5, np.linspace(-1.0, 1.0, n)
-        live = {"keys": keys, "ctr": ctr0.copy(), "rem": rem0.copy(), "x": x0.copy(),
-                "v": v0.copy(), "id": np.arange(n)}
+        live = {"ctr": ctr0.copy(), "rem": rem0.copy(), "x": x0.copy(), "v": v0.copy(),
+                "id": np.arange(n)}
         out_x = np.full(n, np.nan)
         calls, finished = [], []
 
@@ -271,7 +269,7 @@ class TestLockstep:
             assert np.array_equal(live["id"][fin], slots)  # the original slots
             finished.append((slots.tolist(), rnd, tail.tolist()))
 
-        lockstep(live, p, out_x, collide, finish)
+        lockstep(live, p, 3, 0, out_x, collide, finish)
         assert calls == [4, 3, 2, 2, 1]
         assert finished == [([1], 1, [0.0]), ([2], 2, [0.0]), ([4], 4, [0.0]), ([5], 5, [0.0])]
         # a finisher with no time left stays where its last collision put it
@@ -297,10 +295,10 @@ class TestStepGrid:
             step_count(span, dt)
 
 
-def _ensemble(name, x0=(0.0, 0.0, 0.0), v=(1.0, 1.0, 1.0), ctr0=None, stream_lo=0):
-    # three particles; v is v0, or v_final for the oracle
+def _ensemble(name, x0=(0.0, 0.0, 0.0), v=(1.0, 1.0, 1.0), ctr0=None, stream_lo=0, **out):
+    # three particles; v is v0, or v_final for the oracle; out= for kinetic and KD
     p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-    window = dict(seed=1, stream_lo=stream_lo, ctr0=ctr0)
+    window = dict(seed=1, stream_lo=stream_lo, ctr0=ctr0, **out)
     if name == "kinetic":
         return kinetic_module.kinetic_ensemble(p, x0, v, 1.0, **window)
     if name == "kd":
@@ -347,9 +345,9 @@ class TestEnsembleInputs:
     @pytest.mark.parametrize(
         "ctr0",
         [1.5, [0.5, 1.7, 2.0], np.float64(3.0), "3", True, -1,
-         np.array([-1, 0, 1], dtype=np.int64), 2**64],
+         np.array([-1, 0, 1], dtype=np.int64), 2**64, [-1, 0, 1], [0, 1, 2**64]],
         ids=["float", "floats", "float64", "string", "bool", "negative", "negative-int64",
-             "past-2**64"],
+             "past-2**64", "negative-list", "past-2**64-list"],
     )
     def test_rejects_counters_that_are_not_uint64(self, name, ctr0):
         # no truncation, no wrap: a counter is an integer in [0, 2**64)
@@ -363,13 +361,40 @@ class TestEnsembleInputs:
         with pytest.raises(ValueError, match="stream_lo"):
             _ensemble(name, stream_lo=stream_lo)
 
+    @pytest.mark.parametrize("name", ["kinetic", "kd"])
+    @pytest.mark.parametrize(
+        "positions",
+        [None, np.empty(3, dtype=np.float32), np.empty(4), np.empty(6)[::2], [0.0, 0.0, 0.0],
+         np.frombuffer(bytes(24))],
+        ids=["none", "float32", "other-length", "strided", "list", "read-only"],
+    )
+    def test_rejects_positions_it_cannot_write(self, name, positions):
+        records = {"kinetic": 5, "kd": 3}[name]
+        with pytest.raises(ValueError, match="out must hold"):
+            _ensemble(name, out=(positions,) + (None,) * (records - 1))
+
+    @pytest.mark.parametrize("name", ["kinetic", "kd"])
+    def test_rejects_out_longer_than_the_records(self, name):
+        records = {"kinetic": 5, "kd": 3}[name]
+        with pytest.raises(ValueError, match="out must hold"):
+            _ensemble(name, out=(np.empty(3),) + (None,) * records)
+
     def test_accepts_the_last_stream_window_and_counter(self):
         top = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
-        streams, ctr = stream_inputs(3, 2**64 - 3, top)
-        assert streams.tolist() == [2**64 - 3, 2**64 - 2, 2**64 - 1]
+        _, views = ensemble_io(3, 2**64 - 3, top, None, ())
+        first, ctr, _ = views(0, 3)
+        assert [first + i for i in range(3)] == [2**64 - 3, 2**64 - 2, 2**64 - 1]
         assert ctr.dtype == np.uint64 and ctr.tolist() == [0, 2**63, 2**64 - 1]
-        _, ctr = stream_inputs(3, np.uint64(5), np.int64(7))
+        _, views = ensemble_io(3, np.uint64(5), np.int64(7), None, ())
+        _, ctr, _ = views(0, 3)
         assert ctr.dtype == np.uint64 and ctr.tolist() == [7, 7, 7]
+
+    @pytest.mark.parametrize("ctr0", [[1, 2**64 - 1], [0, 2**63]])
+    def test_takes_counter_lists_exactly(self, ctr0):
+        # numpy makes such lists float64, which rounds 2**64 - 1
+        _, views = ensemble_io(2, 0, ctr0, None, ())
+        _, ctr, _ = views(0, 2)
+        assert ctr.dtype == np.uint64 and ctr.tolist() == ctr0
 
 
 def test_every_export_resolves():

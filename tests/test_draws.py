@@ -127,11 +127,12 @@ def lib_draws(lib, seed, streams, counters):
     """Stream keys, both uniform maps and the normals of one library build."""
     n = streams.size
     keys = np.empty(n, dtype=np.uint64)
-    lib.stream_keys(seed, streams.ctypes.data, keys.ctypes.data, n)
+    lib.stream_keys(seed, 0, streams.ctypes.data, keys.ctypes.data, n)
     out = {"keys": keys}
     for offset in (0.5, 1.0):
         out[offset] = np.empty(n)
-        lib.uniforms(keys.ctypes.data, counters.ctypes.data, offset, out[offset].ctypes.data, n)
+        lib.uniforms(keys.ctypes.data, 0, 0, counters.ctypes.data, 1, offset,
+                     out[offset].ctypes.data, n)
     out["normal"] = c_ndtri(out[0.5], lib)
     out["ndtr"] = c_ndtr(6.0 * out["normal"], lib)  # |a| up to about 55: every branch
     return out

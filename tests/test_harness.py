@@ -26,6 +26,7 @@ from kdmc.config import (
     format_csv_value,
 )
 from kdmc.experiments import run_experiment
+from kdmc.kinetic import kinetic_ensemble
 from kdmc.moments import conditioned_mean_var
 from kdmc.oracles import conditioned_increment_ensemble, sample_moments
 from kdmc import cli
@@ -309,6 +310,27 @@ class TestGridMemory:
                 tracemalloc.stop()
 
         assert peak(3) <= 1.05 * peak(1)
+
+
+class TestEnsembleMemory:
+    @pytest.mark.parametrize("name", ["kinetic-x-only", "oracle-scalar"])
+    def test_peak_within_six_n_doubles(self, name):
+        # at 1 thread and collisionality 100 nearly every particle collides
+        # again and again; an ensemble that records x alone, or the oracle on
+        # one duration and one final velocity, peaks at no more than 6 n doubles
+        n = 1 << 17
+        p = BackgroundParams(1.0, 0.5, 1.0, 0.1)  # sigma dt / eps^2 = 100 at dt = 1
+        x0, v0 = np.zeros(n), np.ones(n)
+        tracemalloc.start()
+        try:
+            if name == "kinetic-x-only":
+                kinetic_ensemble(p, x0, v0, 1.0, 3, out=(np.empty(n), None, None, None, None))
+            else:
+                conditioned_increment_ensemble(p, 1.0, 0.5, n=n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n, peak / (8 * n)
 
 
 class TestCli:

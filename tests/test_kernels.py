@@ -4,6 +4,8 @@ numpy code they replaced, bit for bit, one kernel at a time and as whole
 ensembles."""
 
 import ctypes
+import dataclasses
+import itertools
 import math
 import sys
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri as scipy_ndtri
 
-from kdmc import BackgroundParams
+from kdmc import BackgroundParams, ParticleState, RngStream
 from kdmc.core import (
     KD,
     KINETIC,
@@ -22,11 +24,11 @@ from kdmc.core import (
     normal_keyed,
     stream_keys,
 )
-from kdmc.kd import _kd_collision, kd_ensemble
-from kdmc.kinetic import kinetic_ensemble
+from kdmc.kd import _kd_collision, kd_ensemble, random_walk_ensemble
+from kdmc.kinetic import kinetic_ensemble, simulate_kinetic
 from kdmc.moments import A_SMALL, _kernel_table, _substep_constants
 from kdmc.oracles import conditioned_increment_ensemble
-from conftest import ROUND_ZERO_POPULATIONS, round_zero_inputs, same_bits
+from conftest import EDGE_COUNTERS, ROUND_ZERO_POPULATIONS, round_zero_inputs, same_bits
 
 PARAMS = BackgroundParams(1.3, 0.7, 2.0, 0.6)
 SIZES = [40, 255, 256, 257, 700]  # one block and less, the block edge, several blocks
@@ -233,8 +235,8 @@ def test_flights(n):
     # round 0 reads its inputs and presets out_x; later rounds step the counters
     out_x = np.full(n, np.nan)
     dtau = lg.copy()
-    count = _draws.flights(addr(live["rem"]), addr(dtau), None, addr(done), addr(live["x"]),
-                           addr(live["v"]), addr(out_x), scale, eps, n)
+    count = _draws.flights(addr(live["rem"]), 1, addr(dtau), None, addr(done), addr(live["x"]), 1,
+                           addr(live["v"]), 1, addr(out_x), scale, eps, n)
     assert same_bits(dtau, want)
     assert np.array_equal(done, want >= live["rem"]) and count == done.sum()
     assert same_bits(out_x, (live["v"] / eps) * live["rem"] + live["x"])
@@ -242,8 +244,8 @@ def test_flights(n):
         assert same_bits(live[name], before[name]), name
     done[:] = False
     ctr = live["ctr"].copy()
-    count = _draws.flights(addr(live["rem"]), addr(lg), addr(ctr), addr(done), None, None, None,
-                           scale, eps, n)
+    count = _draws.flights(addr(live["rem"]), 1, addr(lg), addr(ctr), addr(done), None, 0, None, 0,
+                           None, scale, eps, n)
     assert same_bits(lg, want)
     assert np.array_equal(ctr, live["ctr"] + np.uint64(1))
     assert np.array_equal(done, want >= live["rem"]) and count == done.sum()
@@ -369,7 +371,7 @@ def test_kernel_table_matches_numpy():
 def test_normals_match_the_uniforms_through_scipy():
     live = population(1000)
     u = np.empty(1000)
-    _draws.uniforms(addr(live["keys"]), addr(live["ctr"]), 0.5, addr(u), u.size)
+    _draws.uniforms(addr(live["keys"]), 0, 0, addr(live["ctr"]), 1, 0.5, addr(u), u.size)
     assert same_bits(normal_keyed(live["keys"], live["ctr"]), scipy_ndtri(u))
 
 
@@ -539,3 +541,88 @@ def test_inputs_are_not_written():
         _, strided = run(*(np.repeat(a, 2)[::2] for a in saved))
         for a, b in zip(strided, got):
             assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("horizon,least,most", ROUND_ZERO_POPULATIONS)
+@pytest.mark.parametrize("threads", [1, 3])
+def test_partial_records_keep_the_bits(horizon, least, most, threads):
+    # out= with any records left out (None) writes the others bit for bit as
+    # the full records, and total_collisions needs no collisions record
+    p, x0, v0, ctr0 = round_zero_inputs()
+    run = dict(seed=9, ctr0=ctr0, chunk=16, threads=threads)
+    for ensemble, args in ((kinetic_ensemble, (horizon,)), (kd_ensemble, (horizon / 4, 4))):
+        full = ensemble(p, x0, v0, *args, **run)
+        records = [getattr(full, f.name) for f in dataclasses.fields(full)][:-2]
+        assert least <= np.count_nonzero(full.collisions) <= most
+        assert full.total_collisions == full.collisions.sum()
+        for kept in itertools.product((False, True), repeat=len(records) - 1):
+            out = [np.empty_like(records[0])] + [np.empty_like(r) if k else None
+                                                 for k, r in zip(kept, records[1:])]
+            # an out that ends early leaves the records past its end out
+            while len(out) > 1 and out[-1] is None:
+                out.pop()
+            got = ensemble(p, x0, v0, *args, out=out, **run)
+            assert got.total_collisions == full.total_collisions
+            out += [None] * (len(records) - len(out))
+            for a, o, want in zip([getattr(got, f.name) for f in dataclasses.fields(got)], out,
+                                  records):
+                assert a is o and (o is None or same_bits(o, want))
+
+
+@pytest.mark.parametrize("horizon,least,most", ROUND_ZERO_POPULATIONS)
+@pytest.mark.parametrize("threads", [1, 3])
+def test_one_value_for_all_keeps_the_bits(horizon, least, most, threads):
+    # a scalar ctr0, durations or v_final, read as a stride-0 view, gives the
+    # bits of a per-particle array filled with that value
+    p, x0, v0, ctr0 = round_zero_inputs()
+    n, c, vf = x0.size, ctr0[5], v0[5]
+    run = dict(seed=9, chunk=16, threads=threads)
+    for scalar, filled in ((c, np.full(n, c, dtype=np.uint64)), (int(c), np.full(n, c))):
+        for ensemble, args in ((kinetic_ensemble, (x0, v0, horizon)),
+                               (kd_ensemble, (x0, v0, horizon / 4, 4))):
+            a, b = ensemble(p, *args, ctr0=scalar, **run), ensemble(p, *args, ctr0=filled, **run)
+            assert all(same_bits(getattr(a, k), getattr(b, k)) for k in ("x", "v", "collisions"))
+            assert a.total_collisions == b.total_collisions
+        assert same_bits(random_walk_ensemble(p, x0, horizon / 4, 4, ctr0=scalar, **run),
+                         random_walk_ensemble(p, x0, horizon / 4, 4, ctr0=filled, **run))
+    got = conditioned_increment_ensemble(p, horizon, vf, n=n, ctr0=c, **run)
+    assert same_bits(got, conditioned_increment_ensemble(p, np.full(n, horizon), np.full(n, vf),
+                                                         ctr0=np.full(n, c), **run))
+
+
+def test_round_zero_hashes_the_keys_of_its_streams():
+    # uniforms with no keys hashes particle i's key from stream lo + i, and
+    # stream_keys from lo + a slot, as stream_keys does from the ids, at the
+    # top of the stream range and the counter edges, whole or one for all
+    n, seed = 256, 2**64 - 5
+    lo = 2**64 - n
+    keys = stream_keys(seed, np.arange(lo, 2**64, dtype=np.uint64))
+    ctr = np.array(EDGE_COUNTERS * (n // len(EDGE_COUNTERS)), dtype=np.uint64)
+    for c in [ctr] + [np.broadcast_to(np.uint64(e), (n,)) for e in EDGE_COUNTERS]:
+        want, got, whole = np.empty(n), np.empty(n), np.ascontiguousarray(c)
+        _draws.uniforms(addr(keys), 0, 0, addr(whole), 1, 1.0, addr(want), n)
+        _draws.uniforms(None, seed, lo, addr(c), c.strides[0] // 8, 1.0, addr(got), n)
+        assert same_bits(got, want)
+    slots = np.array([0, 5, n - 1, 7, n - 2])
+    got = np.empty(slots.size, dtype=np.uint64)
+    _draws.stream_keys(seed, lo, addr(slots), addr(got), slots.size)
+    assert np.array_equal(got, keys[slots])
+    _draws.stream_keys(seed, lo, None, addr(got), slots.size)
+    assert np.array_equal(got, keys[:slots.size])
+
+
+@pytest.mark.parametrize("horizon,least,most", ROUND_ZERO_POPULATIONS)
+def test_last_stream_window_matches_the_scalar_stepper(horizon, least, most):
+    # the fused round-0 hash and the survivors' keys at stream_lo = 2**64 - n,
+    # with counters at both ends of their range
+    p, x0, v0, ctr0 = round_zero_inputs()
+    n = x0.size
+    ctr0[:len(EDGE_COUNTERS)] = EDGE_COUNTERS
+    lo = 2**64 - n
+    ens = kinetic_ensemble(p, x0, v0, horizon, 9, stream_lo=lo, ctr0=ctr0, chunk=16)
+    assert least <= np.count_nonzero(ens.collisions) <= most
+    for i in range(n):
+        rec = simulate_kinetic(ParticleState(x0[i], v0[i]), horizon, p,
+                               RngStream(9, lo + i, counter=int(ctr0[i])))
+        assert (rec.final_state.x, rec.final_state.v) == (ens.x[i], ens.v[i])
+        assert rec.collisions_executed == ens.collisions[i]
