@@ -10,11 +10,12 @@ Every draw is a pure hash of (stream key, counter): `normal_keyed` and
 are compositions of them kept for the benchmark tracer, which wraps them.
 
 The draw arithmetic lives in `_draws.c`, compiled on first import: the
-splitmix64 stream keys and hash, the two uniform maps, ports of the
-cephes `ndtri` and `ndtr` that `scipy.special` runs, bit for bit, the
-lockstep engine's per-round kernels and the moment kernels. `log` and `exp`
-stay in numpy: `exponential_keyed` and the engine's flights take `np.log`
-of the C uniforms, and a KD collision takes one `np.exp` (see `kd.py`).
+splitmix64 stream keys and hash, the two uniform maps, ports of the cephes
+`ndtri` and `ndtr` that `scipy.special` runs, bit for bit (`ndtri`'s tails on
+an in-file port of glibc's FMA-build `log`, not the C library's; `ndtr` calls
+its `exp`), the random walk, the lockstep engine's per-round and moment kernels.
+Elsewhere `log` and `exp` are numpy's: `exponential_keyed` and the engine's
+flights take `np.log` of the C uniforms, a KD collision one `np.exp` (`kd.py`).
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
     u = ctypes.c_uint64
     for fn, args, res in (
         ("stream_keys", (u, u, p, p, n), None), ("uniforms", (p, u, u, p, n, f, p, n), None),
-        ("normals", (p, p, p, n), None), ("ndtri", (p, n), None), ("ndtr", (p, n), None),
+        ("normals", (p, u, u, p, n, p, n), None), ("ndtri", (p, n), None), ("ndtr", (p, n), None),
+        ("walk", (u, u, p, n, p, f, f, ctypes.c_int64, n), None),
         ("flights", (p, n, p, p, p, p, n, p, n, p, f, f, n), n), ("compact", (p, n, p, i, i), n),
         ("collide", (i, p, p, p, p, p, p, p, p, p, f, f, f, n), None),
         ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
@@ -125,20 +127,22 @@ def stream_keys(seed, stream):
 
 
 def _keyed(fn, keys, counter, *args):
-    # fn(keys, counters, *args, out, n) on the broadcast (key, counter) pairs,
+    # fn, _draws.uniforms or _draws.normals, on the broadcast (key, counter) pairs,
     # 1-d even for scalar input: numpy's log may take another loop on 0-d
     keys = np.asarray(keys, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
     out = np.empty(np.broadcast_shapes(keys.shape, counter.shape) or (1,))
     k, c = (np.ascontiguousarray(a if a.shape == out.shape else np.broadcast_to(a, out.shape))
             for a in (keys, counter))
-    fn(k.ctypes.data, c.ctypes.data, *args, out.ctypes.data, out.size)
+    fn(k.ctypes.data, 0, 0, c.ctypes.data, 1, *args, out.ctypes.data, out.size)
     return out
 
 
-def _uniforms(keys, ctr, out, n):
-    # the uniforms on (0, 1] at the given keys and contiguous counters
-    _draws.uniforms(keys, 0, 0, ctr, 1, 1.0, out, n)
+def _stream_draws(fn, seed, lo, counter, out, *offset):
+    # _draws.uniforms (given its offset) or normals into out, streams lo + i at one counter
+    fn(None, int(np.uint64(seed)), lo, ctypes.byref(ctypes.c_uint64(counter)), 0, *offset,
+       _addr(out), out.size)
+    return out
 
 
 def _scalar_if(out, keys, counter):
@@ -160,7 +164,7 @@ def ndtr(x):
 
 def exponential_keyed(keys, counter):
     """Unit exponential -ln(u) of a uniform u on (0, 1]; always finite."""
-    u = _keyed(_uniforms, keys, counter)
+    u = _keyed(_draws.uniforms, keys, counter, 1.0)
     np.log(u, out=u)
     return _scalar_if(np.negative(u, out=u), keys, counter)
 
@@ -168,7 +172,7 @@ def exponential_keyed(keys, counter):
 def uniform_open_closed(seed, stream, counter):
     """Uniform draw on (0, 1]; zero is impossible by construction."""
     keys = stream_keys(seed, stream)
-    return _scalar_if(_keyed(_uniforms, keys, counter), keys, counter)
+    return _scalar_if(_keyed(_draws.uniforms, keys, counter, 1.0), keys, counter)
 
 
 def normal_from_counter(seed, stream, counter):

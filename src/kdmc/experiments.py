@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _POINT_STRIDE, emit_csv
-from .core import BackgroundParams, ndtr, normal_from_counter, step_count, uniform_open_closed
+from .core import BackgroundParams, _draws, _stream_draws, ndtr, step_count
+from .core import normal_from_counter, uniform_open_closed  # noqa: F401 - the tracer wraps them
 from .kd import kd_ensemble, random_walk_ensemble
 from .kinetic import kinetic_ensemble
 from .metrics import HistogramSpec, w1_sorted
@@ -60,8 +61,9 @@ class ExperimentResult:
 
 def _maxwellian(params, seed, lo, n):
     """eps * u + sqrt(T) z, z drawn at counter 0 of streams lo .. lo + n - 1."""
-    z = normal_from_counter(seed, lo + np.arange(n, dtype=np.uint64), np.uint64(0))
-    return params.eps * params.u + math.sqrt(params.temperature) * z
+    z = _stream_draws(_draws.normals, seed, lo, 0, np.empty(n))
+    sd = math.sqrt(params.temperature)
+    return np.add(params.eps * params.u, np.multiply(sd, z, out=z), out=z)
 
 
 def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
@@ -254,9 +256,9 @@ def run_single_step_high(config):
 
 def _bimodal_source(n, seed, stream_lo):
     """Positions at zero; velocities an even mix of N(-10, 1) and N(10, 1)."""
-    streams = stream_lo + np.arange(n, dtype=np.uint64)
-    sign = np.where(uniform_open_closed(seed, streams, np.uint64(0)) <= 0.5, -10.0, 10.0)
-    v0 = sign + normal_from_counter(seed, streams, np.uint64(1))
+    u = _stream_draws(_draws.uniforms, seed, stream_lo, 0, np.empty(n), 1.0)
+    v0 = _stream_draws(_draws.normals, seed, stream_lo, 1, np.empty(n))
+    v0 += np.where(u <= 0.5, -10.0, 10.0)
     return np.zeros(n), v0
 
 

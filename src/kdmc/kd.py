@@ -14,6 +14,7 @@ new velocity, takes the Gaussian substep and sets the particle's time left
 to the steps it has not started, all in C but for one np.exp. A particle
 past its last step has no time left: its next flight finishes it with a
 tail of 0, as every particle leaves the engine, on a flight.
+`random_walk_ensemble` takes each chunk's steps in one C pass, `_draws.walk`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     KD,
     ParticleState,
     _addr,
+    _col,
     _draws,
     collision,
     ensemble_io,
@@ -35,10 +37,10 @@ from .core import (
     lockstep,
     map_chunked,
     normal_from_counter,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.normal_from_counter
-    normal_keyed,
+    normal_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.normal_keyed
     sample_maxwellian,
     step_count,
-    stream_keys,
+    stream_keys,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.stream_keys
     whole_steps,
 )
 from .kinetic import sample_collision_time
@@ -238,14 +240,8 @@ def random_walk_ensemble(
     def run(lo, hi):
         x0, first, ctr, (xs,) = views(lo, hi)
         xs[:] = x0  # then steps the output in place
-        ctr = ctr.copy()
-        keys = stream_keys(seed, np.arange(first, first + hi - lo, dtype=np.uint64))
-        for _ in range(n_steps):
-            z = normal_keyed(keys, ctr)
-            z *= scale
-            xs += drift
-            xs += z
-            ctr += np.uint64(1)
+        _draws.walk(int(np.uint64(seed)), first, *_col(ctr), _addr(xs), drift, scale, n_steps,
+                    hi - lo)
 
     map_chunked(run, n, threads=threads, chunk=chunk)
     return x

@@ -80,6 +80,31 @@ class TestNdtriParity:
         assert (u < y32).any() and (u > y32).any()
         assert same_bits(c_ndtri(u), scipy_ndtri(u))
 
+    def test_off_lattice(self):
+        # inputs whose y or x = sqrt(-2 ln y) leaves glibc log's general
+        # path: negative, zero, subnormal, infinite or NaN. A NaN need only
+        # be a NaN: scipy returns its NAN constant out of the domain, where
+        # the IEEE invalid operation of a port gives the x86 default NaN
+        u = np.array([2.0, 1.5, -0.5, np.inf, -np.inf, np.nan, 5e-324, 2.0**-1070, 2.0**-1022])
+        got, want = c_ndtri(u), scipy_ndtri(u)
+        nan = np.isnan(want)
+        assert nan.sum() == 6 and np.array_equal(np.isnan(got), nan)
+        assert same_bits(got[~nan], want[~nan])
+
+    def test_log_table_intervals(self):
+        # lattice uniforms log-uniform over both tails, so that each of the
+        # 128 intervals of glibc log's table, (bits - OFF) >> 45 mod 128,
+        # holds at least 1,000 of them, both for y and for x = sqrt(-2 ln y)
+        top = math.floor(EXPM2 * 2.0**53) - 1
+        t = np.random.default_rng(13).uniform(0.0, math.log(top), 2_000_000)
+        k = np.exp(t).astype(np.uint64)
+        u = np.concatenate([lattice(k[::2]), lattice(np.uint64(2**53 - 1) - k[1::2])])
+        y = np.minimum(u, 1.0 - u)
+        for v in (y, np.sqrt(-2.0 * np.log(y))):
+            at = (v.view(np.uint64) - np.uint64(0x3FE6000000000000)) >> np.uint64(45)
+            assert np.bincount(at % np.uint64(128), minlength=128).min() >= 1000
+        assert same_bits(c_ndtri(u), scipy_ndtri(u))
+
 
 class TestNdtrParity:
     def test_random(self):

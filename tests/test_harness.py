@@ -25,6 +25,7 @@ from kdmc.config import (
     emit_csv,
     format_csv_value,
 )
+from kdmc.core import normal_from_counter, uniform_open_closed
 from kdmc.experiments import run_experiment
 from kdmc.kinetic import kinetic_ensemble
 from kdmc.moments import conditioned_mean_var
@@ -331,6 +332,30 @@ class TestEnsembleMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * n, peak / (8 * n)
+
+
+class TestSources:
+    def test_maxwellian_draws_into_its_output(self):
+        # 2**17 velocities peak at little more than their one n-sized result;
+        # drawn through stream ids, keys and a counter column they took 4 n
+        n, lo, p = 1 << 17, 2**64 - (1 << 17), BackgroundParams(1.0, 0.5, 2.0, 0.1)
+        tracemalloc.start()
+        try:
+            v = experiments_module._maxwellian(p, 7, lo, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n, peak / (8 * n)
+        z = normal_from_counter(7, np.uint64(lo) + np.arange(n, dtype=np.uint64), np.uint64(0))
+        assert same_bits(v, p.eps * p.u + math.sqrt(p.temperature) * z)
+
+    def test_bimodal_source_keeps_the_bits(self):
+        n, lo = 1000, 5 << 40
+        x0, v0 = experiments_module._bimodal_source(n, 7, lo)
+        streams = lo + np.arange(n, dtype=np.uint64)
+        sign = np.where(uniform_open_closed(7, streams, np.uint64(0)) <= 0.5, -10.0, 10.0)
+        assert same_bits(x0, np.zeros(n))
+        assert same_bits(v0, sign + normal_from_counter(7, streams, np.uint64(1)))
 
 
 class TestCli:

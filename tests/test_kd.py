@@ -17,12 +17,19 @@ from kdmc import (
     var_unconditioned,
 )
 from kdmc import kd as kd_module
-from kdmc.core import normal_from_counter
+from kdmc.core import normal_from_counter, normal_keyed, stream_keys
 from kdmc.kd import kd_ensemble, random_walk_ensemble
 from kdmc.kinetic import kinetic_ensemble
 from kdmc.metrics import fit_order, w1_sorted
 from kdmc.moments import conditioned_mean_var, mean_unconditioned
-from conftest import ROUND_ZERO_POPULATIONS, StubRng, moment_check, round_zero_inputs, same_bits
+from conftest import (
+    EDGE_COUNTERS,
+    ROUND_ZERO_POPULATIONS,
+    StubRng,
+    moment_check,
+    round_zero_inputs,
+    same_bits,
+)
 
 P_UNIT = BackgroundParams(1.0, 0.0, 1.0, 1.0)
 
@@ -264,6 +271,32 @@ class TestRandomWalk:
         for i in range(n):
             out = simulate_random_walk(ParticleState(0.0, 0.0, 0.0), 0.5, 2.0, P_UNIT, RngStream(5, i))
             assert out.x == x[i]
+
+    @pytest.mark.parametrize("ctr0", [np.resize(np.array(EDGE_COUNTERS, dtype=np.uint64), 600),
+                                      2**64 - 2], ids=["per-particle", "one-for-all"])
+    def test_blocks_match_the_steppers(self, ctr0):
+        # 600 particles make blocks of 256, 256 and 88 in one chunk, and
+        # chunks of 100 make six; the counters wrap modulo 2**64 mid-walk
+        p, n, dt, n_steps, seed, lo = BackgroundParams(1.3, 0.7, 2.0, 0.6), 600, 0.25, 4, 9, 5
+        x0 = np.random.default_rng(4).normal(size=n)
+        ctr = np.broadcast_to(np.asarray(ctr0, dtype=np.uint64), (n,)).copy()
+        scalar = [simulate_random_walk(ParticleState(x0[i], 0.0, 0.0), dt, n_steps * dt, p,
+                                       RngStream(seed, lo + i, int(ctr[i]))).x for i in range(n)]
+        # the per-step numpy composition the C walk replaced
+        keys, want = stream_keys(seed, lo + np.arange(n, dtype=np.uint64)), x0.copy()
+        drift, scale = p.u * dt, math.sqrt(2.0 * (p.temperature / p.sigma) * dt)
+        for _ in range(n_steps):
+            z = normal_keyed(keys, ctr)
+            z *= scale
+            want += drift
+            want += z
+            ctr += np.uint64(1)
+        assert same_bits(np.array(scalar), want)
+        for threads in (1, 3):
+            for chunk in (1 << 16, 100):
+                got = random_walk_ensemble(p, x0, dt, n_steps, seed, stream_lo=lo, ctr0=ctr0,
+                                           threads=threads, chunk=chunk)
+                assert same_bits(got, want), (threads, chunk)
 
 
 class TestKdStatistics:
