@@ -212,10 +212,18 @@ static void ndtri_block(double *u, int n)
     }
 }
 
+/* with scipy's NaNs, which no lattice uniform meets: its NAN for u outside
+ * [0, 1], and a NaN u negated, as cephes returns it */
 void ndtri(double *u, ptrdiff_t n)
 {
-    for (ptrdiff_t lo = 0; lo < n; lo += BATCH)
-        ndtri_block(u + lo, BLOCK(n, lo));
+    for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
+        double u0[BATCH];
+        int m = BLOCK(n, lo);
+        memcpy(u0, u + lo, (size_t)m * sizeof *u);
+        ndtri_block(u + lo, m);
+        for (int i = 0; i < m; i++)
+            u[lo + i] = u0[i] != u0[i] ? -u0[i] : u0[i] < 0.0 || u0[i] > 1.0 ? NAN : u[lo + i];
+    }
 }
 
 /* cephes ndtr's erf and erfc: T/U for |x| < 1, P/Q for erfc below 8, R/S above */

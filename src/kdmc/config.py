@@ -101,7 +101,6 @@ class ExperimentConfig:
     collisionality_grid: tuple = ()
     eps_list: tuple = (0.1, 1.0, 10.0)
     v0: float = 2.0
-    v_final_std: float | None = None
     velocity_bins: int = 64
     bootstrap_reps: int = 16
     histogram_lo: float = -15.0

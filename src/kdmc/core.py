@@ -40,6 +40,8 @@ __all__ = [
     "normal_keyed",
     "exponential_keyed",
     "sample_maxwellian",
+    "RECORDS",
+    "Ensemble",
     "ensemble_io",
     "finite",
     "step_count",
@@ -274,6 +276,27 @@ def _uint64(name, values):
     return np.require(values, np.uint64, "C")
 
 
+RECORDS = (np.float64, np.float64, np.int64, np.float64, np.float64)  # Ensemble's 5 dtypes
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Per-particle records of n particles: final position and velocity,
+    collisions, and the first and last flight overlaps with the time left
+    (both all of it without a collision); None for a record not kept (see
+    `lockstep`). loop_seconds sums the wall time of the stepping loops alone
+    (setup, allocation, and summary excluded); total_collisions needs no
+    record."""
+
+    x: np.ndarray
+    v: np.ndarray | None = None
+    collisions: np.ndarray | None = None
+    first_overlap: np.ndarray | None = None
+    last_overlap: np.ndarray | None = None
+    loop_seconds: float = 0.0
+    total_collisions: int = 0
+
+
 def ensemble_io(n, stream_lo, ctr0, out, dtypes, **states):
     """Check the inputs of an ensemble of n particles and give it its
     outputs before any of it runs; returns (out, views).
@@ -282,9 +305,10 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, **states):
     ctr0: None (0), one for all or one per particle, integers in [0, 2**64).
     `states` are finite floats, one for all or one per particle. out is
     None, for new arrays of `dtypes`, or the caller's arrays in that order:
-    each writable, contiguous, of n and sharing no memory with the inputs,
-    or None, like any entry past the end of out, for an output not
-    recorded; the first is always recorded.
+    each writable, contiguous and of n, or None, like any entry past the end
+    of out, for an output not recorded; the first is always recorded. No
+    two kept outputs, and no output and input, may share memory: the engine
+    reads its inputs in place while it writes the outputs.
     Anything else raises ValueError. views(lo, hi) gives the chunk [lo, hi):
     its states, first stream id, counters and outputs. One value for all is
     an np.broadcast_to view of stride 0, never n copies.
@@ -299,8 +323,6 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, **states):
         if col.shape not in ((), (n,)):
             raise ValueError(f"{name} must be one value or one per particle ({n}), "
                              f"got shape {col.shape}")
-    ctr0, *states = (np.broadcast_to(col, (n,)) if col.ndim == 0 else col
-                     for col in columns.values())
     out = tuple(np.empty(n, dtype=d) for d in dtypes) if out is None else tuple(out)
     out += (None,) * (len(dtypes) - len(out))
     if len(out) != len(dtypes) or not all(
@@ -310,6 +332,12 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, **states):
         raise ValueError(f"out must hold at most {len(dtypes)} entries, the first an array, "
                          f"the others arrays or None; each array writable, contiguous, of {n} "
                          f"and of dtype {[np.dtype(d).name for d in dtypes]}")
+    kept = [a for a in out if a is not None]
+    if any(np.shares_memory(a, b) for k, a in enumerate(kept)
+           for b in (*kept[k + 1:], *columns.values())):
+        raise ValueError("out arrays must share no memory with each other or with the inputs")
+    ctr0, *states = (np.broadcast_to(col, (n,)) if col.ndim == 0 else col
+                     for col in columns.values())
 
     def views(a, b):
         return (*(s[a:b] for s in states), int(lo) + a, ctr0[a:b],
@@ -369,30 +397,33 @@ def _col(a):
     return a.ctypes.data, int(a.strides[0] != 0)
 
 
-def lockstep(live, params, seed, stream_lo, out_x, collide, finish=None):
+def lockstep(live, params, seed, stream_lo, out, collide):
     """Run a particle population to the end in lockstep rounds and write
-    each particle's final position into out_x; returns the wall seconds of
-    the rounds and the number of collisions.
+    each particle's records; returns the wall seconds of the rounds and the
+    number of collisions.
 
     Particle i draws from stream stream_lo + i under seed. `live` maps names
     to columns of 8-byte values over the particles: at least "ctr" (next
-    counters), "rem" (time left), "x" and "v". Round 0 reads them at their
-    element stride, 0 for one value for all (an np.broadcast_to view), and
-    never writes them, so they may be the caller's inputs; its uniform pass
-    hashes each particle's stream key. lockstep then replaces each column
-    with a contiguous array it owns over the particles still running, adds
-    their stream keys as "keys", and compacts them in place without keeping
-    their order. In round r every live particle draws its flight dtau =
-    (eps^2 / sigma) Exp(1) at its next counter. Time left is the only exit:
-    a particle whose flight reaches rem finishes with r collisions at
-    x + (v / eps) tail, where tail = rem is its last flight. Round 0 presets
-    out_x to that position, so a round-0 finisher costs only its flight draw
-    and is never copied. From round 1 on, finish(fin, slots, r, tail), if
-    given, gets the finishers' live positions and output slots, for the
-    driver's other outputs. The others collide: collide(dtau) moves them
-    (dtau is live["dtau"], lockstep's buffer), and one it leaves with rem = 0
-    finishes at its next flight.
+    counters), "rem" (time left), "x" and "v". out holds the records in
+    `RECORDS` order; an entry that is None or past the end of out is not
+    kept, but x always is. Round 0 reads the columns at their element
+    stride, 0 for one value for all (an np.broadcast_to view), and never
+    writes them, so they may be the caller's inputs; its uniform pass hashes
+    each particle's stream key. It presets each kept record to its value
+    without collisions, x + (v / eps) rem, v, 0, rem and rem, so a round-0
+    finisher costs only its flight draw and is never copied. lockstep then
+    replaces each column with a contiguous array it owns over the particles
+    still running, adds their stream keys as "keys" (and, if first_overlap
+    is kept, their round-0 flights as "first"), and compacts them in place
+    without keeping their order. In round r every live particle draws its
+    flight dtau = (eps^2 / sigma) Exp(1) at its next counter. Time left is
+    the only exit: a particle whose flight reaches rem finishes with r
+    collisions at x + (v / eps) tail, where tail = rem is its last flight,
+    and its records are x, v, r, its round-0 flight and tail. The others
+    collide: collide(dtau) moves them (dtau is live["dtau"], lockstep's
+    buffer), and one it leaves with rem = 0 finishes at its next flight.
     """
+    out_x, out_v, out_coll, out_first, out_last = (*out, None, None, None, None)[:5]
     eps, scale, n = params.eps, params.eps * params.eps / params.sigma, out_x.size
     seed = int(np.uint64(seed))
     t_loop = time.perf_counter()
@@ -401,6 +432,10 @@ def lockstep(live, params, seed, stream_lo, out_x, collide, finish=None):
     np.log(dtau, out=dtau)
     count = _draws.flights(*_col(live["rem"]), _addr(dtau), None, _addr(done_buf),
                            *_col(live["x"]), *_col(live["v"]), _addr(out_x), scale, eps, n)
+    for a, preset in zip((out_v, out_coll, out_first, out_last),
+                         (live["v"], 0, live["rem"], live["rem"])):
+        if a is not None:
+            a[:] = preset
     if count == n:
         return time.perf_counter() - t_loop, 0
     # the particles still running, in arrays lockstep owns; a population with
@@ -409,6 +444,8 @@ def lockstep(live, params, seed, stream_lo, out_x, collide, finish=None):
     for name, col in live.items():
         live[name] = col.copy() if slots is None else col[slots]
     live["dtau"] = dtau if slots is None else dtau[slots]
+    if out_first is not None:
+        live["first"] = live["dtau"].copy()
     live["ctr"] += np.uint64(1)
     live["keys"] = np.empty(n - count, dtype=np.uint64)
     _draws.stream_keys(seed, stream_lo, None if slots is None else slots.ctypes.data,
@@ -427,10 +464,16 @@ def lockstep(live, params, seed, stream_lo, out_x, collide, finish=None):
             continue
         collisions += rnd * count
         fin = slice(None) if count == m else np.flatnonzero(done)
-        out, tail = fin if slots is None else slots[fin], live["rem"][fin]
-        out_x[out] = live["x"][fin] + (live["v"][fin] / eps) * tail
-        if finish:
-            finish(fin, out, rnd, tail)
+        at, tail = fin if slots is None else slots[fin], live["rem"][fin]
+        out_x[at] = live["x"][fin] + (live["v"][fin] / eps) * tail
+        if out_v is not None:
+            out_v[at] = live["v"][fin]
+        if out_coll is not None:
+            out_coll[at] = rnd
+        if out_first is not None:
+            out_first[at] = live["first"][fin]
+        if out_last is not None:
+            out_last[at] = tail
         if count == m:
             return time.perf_counter() - t_loop, collisions
         fresh = slots is None

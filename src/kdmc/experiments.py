@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _POINT_STRIDE, emit_csv
-from .core import BackgroundParams, _draws, _stream_draws, ndtr, step_count
+from .core import RECORDS, BackgroundParams, _draws, _stream_draws, ndtr, step_count
 from .core import normal_from_counter, uniform_open_closed  # noqa: F401 - the tracer wraps them
 from .kd import kd_ensemble, random_walk_ensemble
 from .kinetic import kinetic_ensemble
@@ -88,8 +88,7 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     accept_p = max(float(k2[0]), 1e-12)
     width = threads << 16
     x0, v0s = np.zeros(width), np.full(width, v0)
-    records = (np.empty(width), np.empty(width), np.empty(width, dtype=np.int64), np.empty(width),
-               np.empty(width))
+    records = tuple(np.empty(width, dtype=d) for d in RECORDS)
     out = (np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n), np.empty(n), np.empty(n))
     got = 0
     next_candidate = 0
@@ -211,8 +210,7 @@ def run_single_step_high(config):
     Both schemes drop the initial correlated flight (it is identical in the
     two processes and vanishes in the diffusive limit): the kinetic side
     starts from a resampled velocity and the KD side is one diffusive
-    substep over the whole step. With v_final_std set, both are conditioned
-    on the same pinned final velocity.
+    substep over the whole step.
     """
     rows = []
     n = config.particles
@@ -221,25 +219,18 @@ def run_single_step_high(config):
         eps = math.sqrt(config.sigma * dt / coll)
         params = BackgroundParams(config.sigma, config.u, config.temperature, eps)
         lo = i * _POINT_STRIDE
-        if config.v_final_std is None:
-            v_kin = _maxwellian(params, config.seed, lo, n)
-            v_kd = _maxwellian(params, config.seed, lo + _SIDE_OFFSET, n)
-        else:
-            pinned = params.eps * params.u + config.v_final_std * math.sqrt(config.temperature)
-            v_kin = np.full(n, pinned)
-            v_kd = v_kin
         dx_kin = conditioned_increment_ensemble(
             params,
-            np.full(n, dt),
-            v_kin,
+            dt,
+            _maxwellian(params, config.seed, lo, n),
+            n=n,
             seed=config.seed,
             stream_lo=lo,
             ctr0=np.uint64(1),
             threads=config.threads,
         )
-        z = normal_from_counter(
-            config.seed, lo + _SIDE_OFFSET + np.arange(n, dtype=np.uint64), np.uint64(1)
-        )
+        z = _stream_draws(_draws.normals, config.seed, lo + _SIDE_OFFSET, 1, np.empty(n))
+        v_kd = _maxwellian(params, config.seed, lo + _SIDE_OFFSET, n)
         mean_kd, var_kd = conditioned_mean_var(params, dt, v_kd)
         dx_kd = mean_kd + np.sqrt(var_kd) * z
         w1 = w1_sorted(dx_kin, dx_kd)

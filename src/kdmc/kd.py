@@ -9,11 +9,13 @@ correlation. A flight spanning several steps is executed as one kinetic
 move and the clock jumps to the end of the step containing the collision.
 
 `kd_ensemble` runs the same draws on a population through
-`core.lockstep`. A collision moves the particle by its flight, draws its
-new velocity, takes the Gaussian substep and sets the particle's time left
-to the steps it has not started, all in C but for one np.exp. A particle
-past its last step has no time left: its next flight finishes it with a
-tail of 0, as every particle leaves the engine, on a flight.
+`core.lockstep`, which writes the records x, v and collisions; the driver
+gives it the live columns and `_kd_collision`. A collision moves the
+particle by its flight, draws its new velocity, takes the Gaussian substep
+and sets the particle's time left to the steps it has not started, all in
+C but for one np.exp. A particle past its last step has no time left: its
+next flight finishes it with a tail of 0, as every particle leaves the
+engine, on a flight.
 `random_walk_ensemble` takes each chunk's steps in one C pass, `_draws.walk`.
 """
 
@@ -27,6 +29,8 @@ import numpy as np
 
 from .core import (
     KD,
+    RECORDS,
+    Ensemble,
     ParticleState,
     _addr,
     _col,
@@ -48,7 +52,6 @@ from .moments import _substep_constants, conditioned_mean_var
 
 __all__ = [
     "KdStepRecord",
-    "KdEnsemble",
     "diffusive_substep",
     "simulate_kd",
     "simulate_random_walk",
@@ -129,24 +132,6 @@ def simulate_random_walk(state, dt, t_end, params, rng):
     return ParticleState(x, state.v, t_end)
 
 
-@dataclass(frozen=True)
-class KdEnsemble:
-    """Vectorized KD results for n particles; a record the caller did not
-    ask for (see `kd_ensemble`'s out) is None.
-
-    loop_seconds is the summed wall time of the stepping loops alone
-    (setup, allocation, and summary excluded)."""
-
-    x: np.ndarray
-    v: np.ndarray | None
-    collisions: np.ndarray | None
-    loop_seconds: float = 0.0
-    total_collisions: int = 0
-
-
-_OUTPUTS = (np.float64, np.float64, np.int64)
-
-
 def _kd_collision(live, dtau, params, kd, ea):
     """One KD collision of each live particle after its flight dtau, as
     `simulate_kd` takes it: `kd_steps` (the step it ends in, theta and -a),
@@ -156,35 +141,6 @@ def _kd_collision(live, dtau, params, kd, ea):
     _draws.kd_steps(kd, _addr(dtau), _addr(live["left"]), _addr(live["rem"]), _addr(ea), dtau.size)
     np.exp(ea, out=ea)
     collision(KD, live, dtau, params, kd, ea=ea)
-
-
-def _kd_chunk(params, dt, n_steps, seed, x0, v0, stream_lo, ctr0, out):
-    n = x0.shape[0]
-    # out: this chunk's slices of the ensemble's x, v and collisions, or None
-    # where not recorded; lockstep writes x, the rest start at the results of
-    # a particle without collisions
-    out_x, out_v, out_coll = out
-    for a, preset in zip(out[1:], (v0, 0)):
-        if a is not None:
-            a[:] = preset
-    live = {
-        "ctr": ctr0,
-        "rem": np.broadcast_to(n_steps * dt, (n,)),
-        "left": np.broadcast_to(np.int64(n_steps), (n,)),  # steps not yet started
-        "x": x0,
-        "v": v0,
-    }
-    kd, ea = (ctypes.c_double * 6)(*_substep_constants(params, dt)), np.empty(n)
-
-    def finish(fin, slots, rnd, tail):
-        if out_v is not None:
-            out_v[slots] = live["v"][fin]
-        if out_coll is not None:
-            out_coll[slots] = rnd
-
-    return lockstep(live, params, seed, stream_lo, out_x,
-                    lambda dtau: _kd_collision(live, dtau, params, kd, ea[:dtau.size]),
-                    finish if any(a is not None for a in out[1:]) else None)
 
 
 def kd_ensemble(
@@ -206,17 +162,28 @@ def kd_ensemble(
     from stream stream_lo + i starting at ctr0[i]. On the no-collision
     event the draw sequence and position arithmetic coincide with
     kinetic_ensemble bit for bit. out is as in kinetic_ensemble, for the
-    records x, v and collisions (int64).
+    records x, v and collisions (int64); the overlaps are None.
     """
     n_steps = whole_steps(dt, n_steps)
     n = len(x0)
-    out, views = ensemble_io(n, stream_lo, ctr0, out, _OUTPUTS, x0=x0, v0=v0)
+    out, views = ensemble_io(n, stream_lo, ctr0, out, RECORDS[:3], x0=x0, v0=v0)
+    kd = (ctypes.c_double * 6)(*_substep_constants(params, dt))
 
     def run(lo, hi):
-        return _kd_chunk(params, dt, n_steps, seed, *views(lo, hi))
+        x, v, first, ctr, records = views(lo, hi)
+        live = {
+            "ctr": ctr,
+            "rem": np.broadcast_to(n_steps * dt, (hi - lo,)),
+            "left": np.broadcast_to(np.int64(n_steps), (hi - lo,)),  # steps not yet started
+            "x": x,
+            "v": v,
+        }
+        ea = np.empty(hi - lo)
+        return lockstep(live, params, seed, first, records,
+                        lambda dtau: _kd_collision(live, dtau, params, kd, ea[:dtau.size]))
 
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
-    return KdEnsemble(*out, sum(loop_t), sum(collisions))
+    return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))
 
 
 def random_walk_ensemble(

@@ -6,8 +6,9 @@ fresh Maxwellian draws; only the segment that reaches the end of the step
 flies at the pinned value (when no collision occurs, the whole step does).
 Because the final velocity is independent of all other randomness in the
 jump process, substituting its value samples the conditioned law exactly.
-The paths run through `core.lockstep`; a collision moves a path by its
-flight at a fresh Maxwellian velocity.
+The paths run through `core.lockstep`, which writes the increments; the
+driver gives it the live columns and the oracle collision, which moves a
+path by its flight at a fresh Maxwellian velocity.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ class OracleMoments:
     n: int
 
 
-def _conditioned_chunk(params, seed, durations, v_final, x0, stream_lo, ctr0, out):
-    # a path's live "v" is its pinned final velocity, which collisions leave
-    # alone; lockstep writes the increments into out[0], this chunk's slice
-    live = {"ctr": ctr0, "rem": durations, "x": x0, "v": v_final}
-    lockstep(live, params, seed, stream_lo, out[0],
-             lambda dtau: collision(ORACLE, live, dtau, params))
-
-
 def conditioned_increment_ensemble(
     params,
     durations,
@@ -76,7 +69,11 @@ def conditioned_increment_ensemble(
                                v_final=v_final, x0=0.0)
 
     def run(lo, hi):
-        _conditioned_chunk(params, seed, *views(lo, hi))
+        # a path's live "v" is its pinned final velocity, which collisions leave alone
+        rem, v, x, first, ctr, records = views(lo, hi)
+        live = {"ctr": ctr, "rem": rem, "x": x, "v": v}
+        lockstep(live, params, seed, first, records,
+                 lambda dtau: collision(ORACLE, live, dtau, params))
 
     map_chunked(run, n, threads=threads, chunk=chunk)
     return dx

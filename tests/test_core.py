@@ -257,27 +257,26 @@ class TestLockstep:
         x0, v0 = np.arange(n) + 0.5, np.linspace(-1.0, 1.0, n)
         live = {"ctr": ctr0.copy(), "rem": rem0.copy(), "x": x0.copy(), "v": v0.copy(),
                 "id": np.arange(n)}
-        out_x = np.full(n, np.nan)
-        calls, finished = [], []
+        out_x, out_coll, out_last = np.full(n, np.nan), np.full(n, -1), np.full(n, np.nan)
+        calls = []
 
         def collide(dtau):
             calls.append(dtau.size)
             live["x"] += 1.0
             live["rem"][live["id"] == len(calls)] = 0.0
 
-        def finish(fin, slots, rnd, tail):
-            assert np.array_equal(live["id"][fin], slots)  # the original slots
-            finished.append((slots.tolist(), rnd, tail.tolist()))
-
-        lockstep(live, p, 3, 0, out_x, collide, finish)
+        _, collisions = lockstep(live, p, 3, 0, (out_x, None, out_coll, None, out_last), collide)
         assert calls == [4, 3, 2, 2, 1]
-        assert finished == [([1], 1, [0.0]), ([2], 2, [0.0]), ([4], 4, [0.0]), ([5], 5, [0.0])]
+        # each particle's round, in its own slot, and a tail of 0 after its last collision
+        assert out_coll.tolist() == [0, 1, 2, 0, 4, 5] and collisions == 12
+        assert out_last[[1, 2, 4, 5]].tolist() == [0.0] * 4
         # a finisher with no time left stays where its last collision put it
         for k in (1, 2, 4, 5):
             assert out_x[k] == x0[k] + k
-        # round-0 finishers keep the preset x + (v / eps) rem
+        # round-0 finishers keep the preset x + (v / eps) rem and last overlap rem
         for k in (0, 3):
             assert out_x[k] == x0[k] + (v0[k] / p.eps) * rem0[k] and out_x[k] != x0[k]
+            assert out_last[k] == rem0[k]
 
 
 class TestStepGrid:
@@ -378,6 +377,16 @@ class TestEnsembleInputs:
         records = {"kinetic": 5, "kd": 3}[name]
         with pytest.raises(ValueError, match="out must hold"):
             _ensemble(name, out=(np.empty(3),) + (None,) * records)
+
+    @pytest.mark.parametrize("name", ["kinetic", "kd"])
+    @pytest.mark.parametrize("alias", ["x0", "v0", "twice", "x0-offset", "ctr0"])
+    def test_rejects_out_sharing_memory(self, name, alias):
+        # the engine reads its inputs in place while it writes the records
+        buf, v, ctr0, a = np.zeros(4), np.ones(3), np.zeros(3, dtype=np.uint64), np.empty(3)
+        out = {"x0": (buf[:3],), "v0": (v,), "twice": (a, a), "x0-offset": (buf[1:],),
+               "ctr0": (a, None, ctr0.view(np.int64))}[alias]
+        with pytest.raises(ValueError, match="share no memory"):
+            _ensemble(name, x0=buf[:3], v=v, ctr0=ctr0, out=out)
 
     def test_accepts_the_last_stream_window_and_counter(self):
         top = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
