@@ -437,10 +437,9 @@ void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, 
  * place, and returns how many are left. The last kept particle moves into
  * each finished one's place below that count, so the work is O(done) and
  * the order is not kept; holes are found forward with memchr, movers
- * backward. Column k holds the output slots; fresh means the caller filled
- * it with 0, 1, 2, ..., the positions themselves, so a mover's slot is the
- * position it came from. */
-ptrdiff_t compact(const _Bool *done, ptrdiff_t n, uint64_t *const *cols, int k, int fresh)
+ * backward. The engine's output slots are one of the columns, so each kept
+ * particle carries the slot it came from. */
+ptrdiff_t compact(const _Bool *done, ptrdiff_t n, uint64_t *const *cols, int k)
 {
     for (ptrdiff_t i = 0;; i++) {
         const _Bool *hole = memchr(done + i, 1, (size_t)(n - i));
@@ -452,7 +451,7 @@ ptrdiff_t compact(const _Bool *done, ptrdiff_t n, uint64_t *const *cols, int k, 
         if (n == i)
             return n;
         n--; /* the kept particle at n fills the hole at i */
-        for (int c = 0; c <= k; c++)
-            cols[c][i] = c == k && fresh ? (uint64_t)n : cols[c][n];
+        for (int c = 0; c < k; c++)
+            cols[c][i] = cols[c][n];
     }
 }

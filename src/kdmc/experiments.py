@@ -10,18 +10,19 @@ be switched off (measure_time) when byte-identical output matters.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import _POINT_STRIDE, emit_csv
-from .core import RECORDS, BackgroundParams, _draws, _stream_draws, ndtr, step_count
-from .core import normal_from_counter, uniform_open_closed  # noqa: F401 - the tracer wraps them
+from .core import (RECORDS, BackgroundParams, _draws, _stream_draws, ndtr, normal_from_counter,
+                   step_count, uniform_open_closed)
 from .kd import kd_ensemble, random_walk_ensemble
 from .kinetic import kinetic_ensemble
 from .metrics import HistogramSpec, w1_sorted
 from .moments import (
+    HERMITE_W1_TOL,
+    VELOCITY_INTEGRAL_TOL,
     _kernel_table,
     bound_high_collisional,
     bound_low_conditioned,
@@ -67,52 +68,44 @@ def _maxwellian(params, seed, lo, n):
 
 
 def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
-    """Simulate kinetic single steps from (0, v0), keeping paths with at
-    least one collision until n are collected.
+    """Simulate kinetic single steps from (0, v0), keeping the first n
+    paths with at least one collision.
 
-    Candidates are scanned in stream order, so the accepted set is a pure
-    function of the seed. Rejection leaves the conditioned law unbiased.
-    Candidates stay inside the point's window of _POINT_STRIDE streams; a
-    point that would need more fails rather than reuse the next point's.
-    Each batch runs whole, as slices of at most threads << 16 candidates
-    whose inputs are views of one buffer, which the engine reads in place:
-    it copies only the candidates that collide, and every slice records
-    into one buffer allocated per call, so no slice faults in output pages
-    of its own. The accepted paths go straight into n-sized outputs, so
-    memory is O(threads * 2**16 + n) whatever the acceptance rate, and each
-    grid point's arrays die before the next point starts. Returns (stream
-    ids, displacement, first overlap, last overlap, final velocity) of the
-    accepted paths.
+    Candidates run in stream order, in slices of threads << 16 from the
+    start of the point's window of _POINT_STRIDE streams, until a slice
+    holds the n-th accepted path, so the accepted set is a pure function of
+    the seed. Rejection leaves the conditioned law unbiased. The last slice
+    is clipped at the window's end, and a point that needs more fails rather
+    than reuse the next point's. Each slice's inputs are views of one
+    buffer, which the engine reads in place: it copies only the candidates
+    that collide, and every slice records into one buffer allocated per
+    call, so no slice faults in output pages of its own. The accepted paths
+    go straight into n-sized outputs, so memory is O(threads * 2**16 + n)
+    whatever the acceptance rate, and each grid point's arrays die before
+    the next point starts. Returns (stream ids, displacement, first overlap,
+    last overlap, final velocity) of the accepted paths.
     """
-    (_, k2, _, _), _ = _kernel_table(params.collisionality(dt))
-    accept_p = max(float(k2[0]), 1e-12)
     width = threads << 16
     x0, v0s = np.zeros(width), np.full(width, v0)
     records = tuple(np.empty(width, dtype=d) for d in RECORDS)
     out = (np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n), np.empty(n), np.empty(n))
     got = 0
-    next_candidate = 0
-    while got < n:
-        want = int((n - got) / accept_p * 1.15) + 64
-        want = min(want, 1 << 21, _POINT_STRIDE - next_candidate)
-        if want <= 0:
-            raise RuntimeError(
-                f"{n} paths with a collision at dt={dt} need more than the "
-                f"{_POINT_STRIDE} candidate streams of one grid point"
-            )
-        end = next_candidate + want
-        for lo in range(next_candidate, end, width):
-            m = min(width, end - lo)
-            ens = kinetic_ensemble(params, x0[:m], v0s[:m], dt, seed, stream_lo=stream_lo + lo,
-                                   threads=threads, out=[a[:m] for a in records])
-            keep = np.flatnonzero(ens.collisions != 0)[:n - got]
-            new = slice(got, got + keep.size)
-            out[0][new] = np.uint64(stream_lo + lo) + keep.astype(np.uint64)
-            for dst, src in zip(out[1:], (ens.x, ens.first_overlap, ens.last_overlap, ens.v)):
-                dst[new] = src[keep]
-            got += keep.size
-        next_candidate = end
-    return out
+    for lo in range(0, _POINT_STRIDE, width):
+        m = min(width, _POINT_STRIDE - lo)
+        ens = kinetic_ensemble(params, x0[:m], v0s[:m], dt, seed, stream_lo=stream_lo + lo,
+                               threads=threads, out=[a[:m] for a in records])
+        keep = np.flatnonzero(ens.collisions != 0)[:n - got]
+        new = slice(got, got + keep.size)
+        out[0][new] = np.uint64(stream_lo + lo) + keep.astype(np.uint64)
+        for dst, src in zip(out[1:], (ens.x, ens.first_overlap, ens.last_overlap, ens.v)):
+            dst[new] = src[keep]
+        got += keep.size
+        if got == n:
+            return out
+    raise RuntimeError(
+        f"{n} paths with a collision at dt={dt} need more than the "
+        f"{_POINT_STRIDE} candidate streams of one grid point"
+    )
 
 
 def _w1_point_vs_gaussian(mean, sd, point):
@@ -352,55 +345,49 @@ _MOMENTS_DRIFT = (0.0, 1.0)
 _MOMENTS_VSTD = (-2.0, 0.0, 2.0)
 
 
+def _moments_row(kind, coll, params, v_final, mom, mean_ref, var_ref):
+    """One row of run_moments_check: the sample moments mom against the
+    closed forms, each within 4 standard errors."""
+    mean_ok = abs(mom.mean - mean_ref) <= 4 * mom.se_mean
+    var_ok = abs(mom.variance - var_ref) <= 4 * mom.se_variance
+    return (kind, coll, params.temperature, params.u, v_final, mean_ref, mom.mean, mom.se_mean,
+            var_ref, mom.variance, mom.se_variance, mean_ok and var_ok)
+
+
 def run_moments_check(config):
     """Closed-form moments against brute-force ensembles at 4 standard
-    errors, over the collisionality/temperature/drift grid."""
+    errors, over the collisionality/temperature/drift grid. Row k draws
+    from the streams of grid point k."""
     rows = []
-    ok = True
     n = config.particles
     dt = config.dt
-    row_index = 0
     for coll in _MOMENTS_COLLISIONALITY:
         eps = math.sqrt(config.sigma * dt / coll)
         for temp in _MOMENTS_TEMPERATURE:
             for u in _MOMENTS_DRIFT:
                 params = BackgroundParams(config.sigma, u, temp, eps)
-                lo = row_index * _POINT_STRIDE
-                row_index += 1
+                lo = len(rows) * _POINT_STRIDE
                 v0 = _maxwellian(params, config.seed, lo, n)
                 mom = sample_moments(kinetic_ensemble(
                     params, np.zeros(n), v0, dt, config.seed, stream_lo=lo, ctr0=np.uint64(1),
                     threads=config.threads, out=(np.empty(n),),
                 ).x)
-                mean_ref = mean_unconditioned(params, dt)
-                var_ref = var_unconditioned(params, dt)
-                mean_ok = abs(mom.mean - mean_ref) <= 4 * mom.se_mean
-                var_ok = abs(mom.variance - var_ref) <= 4 * mom.se_variance
-                ok = ok and mean_ok and var_ok
-                rows.append(
-                    ("unconditioned", coll, temp, u, "", mean_ref, mom.mean, mom.se_mean,
-                     var_ref, mom.variance, mom.se_variance, mean_ok and var_ok)
-                )
+                rows.append(_moments_row("unconditioned", coll, params, "", mom,
+                                         mean_unconditioned(params, dt),
+                                         var_unconditioned(params, dt)))
                 for c in _MOMENTS_VSTD:
                     v_final = params.eps * u + c * math.sqrt(temp)
-                    lo = row_index * _POINT_STRIDE
-                    row_index += 1
                     mom = sample_moments(conditioned_increment_ensemble(
-                        params, dt, v_final, n=n, seed=config.seed, stream_lo=lo,
-                        threads=config.threads,
+                        params, dt, v_final, n=n, seed=config.seed,
+                        stream_lo=len(rows) * _POINT_STRIDE, threads=config.threads,
                     ))
-                    mean_ref, var_ref = conditioned_mean_var(params, dt, v_final)
-                    mean_ok = abs(mom.mean - mean_ref) <= 4 * mom.se_mean
-                    var_ok = abs(mom.variance - var_ref) <= 4 * mom.se_variance
-                    ok = ok and mean_ok and var_ok
-                    rows.append(
-                        ("conditioned", coll, temp, u, v_final, mean_ref, mom.mean, mom.se_mean,
-                         var_ref, mom.variance, mom.se_variance, mean_ok and var_ok)
-                    )
+                    rows.append(_moments_row("conditioned", coll, params, v_final, mom,
+                                             *conditioned_mean_var(params, dt, v_final)))
     header = (
         "kind", "collisionality", "temperature", "u", "v_final",
         "mean_closed", "mean_mc", "mean_se", "var_closed", "var_mc", "var_se", "ok",
     )
+    ok = all(row[-1] for row in rows)
     message = "all moment comparisons within 4 SE" if ok else "moment comparison outside 4 SE"
     return ExperimentResult(header, rows, ok=ok, message=message)
 
@@ -410,9 +397,9 @@ def run_constants_check(config):
     report = verify_paper_constants(config.quadrature_points)
     rows = [
         ("velocity_integral", report.velocity_integral, report.velocity_integral_target,
-         5e-4, report.velocity_integral_ok, "quadrature"),
+         VELOCITY_INTEGRAL_TOL, report.velocity_integral_ok, "quadrature"),
         ("hermite_w1", report.hermite_w1, report.hermite_w1_target,
-         1e-2, report.hermite_w1_ok, "quadrature"),
+         HERMITE_W1_TOL, report.hermite_w1_ok, "quadrature"),
         ("k4", "", report.k4, "", "", "not independently verifiable"),
     ]
     header = ("name", "computed", "target", "tolerance", "ok", "note")

@@ -38,6 +38,8 @@ HIGH_COLLISIONAL_CONSTANT = 0.58
 VELOCITY_INTEGRAL = 1.3545
 HERMITE_W1_NORM = 1.51
 K4_CONSTANT = 18.3
+VELOCITY_INTEGRAL_TOL = 5e-4  # |quadrature - target| the constants check accepts
+HERMITE_W1_TOL = 1e-2
 
 A_SMALL = ctypes.c_double.in_dll(_draws, "A_SMALL").value  # the series switch
 
@@ -178,11 +180,11 @@ class ConstantsReport:
 
     @property
     def velocity_integral_ok(self):
-        return abs(self.velocity_integral - self.velocity_integral_target) <= 5e-4
+        return abs(self.velocity_integral - self.velocity_integral_target) <= VELOCITY_INTEGRAL_TOL
 
     @property
     def hermite_w1_ok(self):
-        return abs(self.hermite_w1 - self.hermite_w1_target) <= 1e-2
+        return abs(self.hermite_w1 - self.hermite_w1_target) <= HERMITE_W1_TOL
 
     @property
     def richardson_ok(self):

@@ -375,9 +375,9 @@ def test_normals_match_the_uniforms_through_scipy():
     assert same_bits(normal_keyed(live["keys"], live["ctr"]), scipy_ndtri(u))
 
 
-def compact(done, cols, slots, fresh):
-    ptrs = (ctypes.c_void_p * (len(cols) + 1))(*(addr(a) for a in (*cols, slots)))
-    return _draws.compact(addr(done), done.size, ptrs, len(cols), fresh)
+def compact(done, cols):
+    ptrs = (ctypes.c_void_p * len(cols))(*(addr(a) for a in cols))
+    return _draws.compact(addr(done), done.size, ptrs, len(cols))
 
 
 MASKS = {
@@ -399,24 +399,17 @@ def test_compact(mask, n):
     before = [a.copy() for a in cols]
     keep = np.flatnonzero(~done)
     left = keep.size
-    # fresh: the slots start as the positions 0, 1, ... and end naming the
-    # position each kept row came from
-    slots = np.arange(left)
-    assert compact(done, cols, slots, True) == left
-    assert np.array_equal(np.sort(slots), keep)  # the unfinished particles, each once
+    # the slots are a plain column: they start as the positions 0, 1, ...
+    # and end naming the position each kept row came from
+    slots = np.arange(n)
+    assert compact(done, [*cols, slots]) == left
+    assert np.array_equal(np.sort(slots[:left]), keep)  # the unfinished particles, each once
     for a, b in zip(cols, before):
-        assert same_bits(a[:left], b[slots])
+        assert same_bits(a[:left], b[slots[:left]])
     # only finished particles' places are refilled: a kept particle below the
     # count stays where it was
     stay = keep[keep < left]
     assert np.array_equal(slots[stay], stay)
-    # later rounds: the slots are a column, moved as the fresh mode moves them
-    ids = rng.permutation(n).astype(np.int64)
-    got, moved = [b.copy() for b in before], ids.copy()
-    assert compact(done, got, moved, False) == left
-    assert np.array_equal(moved[:left], ids[slots])
-    for a, b in zip(got, cols):
-        assert same_bits(a[:left], b[:left])
 
 
 class TestNdtriBlocks:

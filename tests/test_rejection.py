@@ -20,7 +20,8 @@ PARAMS = BackgroundParams(1.0, 1.0, 1.0, 1.0)
 V0, DT, SEED = 2.0, 0.01, 1
 # the second grid point's window, so stream ids carry an offset
 STREAM_LO = 1 << 34
-# 1500 paths take about 173k candidates: three 2**16 slices at one thread
+# the 1500th path with a collision is candidate 152,450: three 2**16
+# slices at one thread
 N = 1500
 # cuts the one batch of N at 160,000 candidates, inside a slice at 1, 2
 # and 3 threads, and still holds N accepted paths at this seed
@@ -68,31 +69,30 @@ def test_same_paths_as_whole_batches(monkeypatch, threads, stride):
         assert a.shape == (N,) and same_bits(a, b)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("n", [N, 5000])
-def test_slices_cover_the_batches_in_stream_order(monkeypatch, threads, n):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n, stride", [(N, 1 << 34), (N, CLIP), (5000, 1 << 34)],
+                         ids=["window", "clipped", "5000"])
+def test_slices_run_in_stream_order_to_the_nth_path(monkeypatch, threads, n, stride):
     calls = []
 
     def recording(params, x0, v0, duration, seed, stream_lo=0, **kw):
         calls.append((stream_lo, len(x0)))
         return kinetic_ensemble(params, x0, v0, duration, seed, stream_lo=stream_lo, **kw)
 
-    expected, wants = whole_batch_paths(n, 1 << 34, threads)
-    width = threads << 16
-    # each batch in slices of `width` from its first candidate; the sizes
-    # sum to the candidate count, the benchmark's path count
-    layout, lo = [], STREAM_LO
-    for want in wants:
-        layout += [(s, min(width, lo + want - s)) for s in range(lo, lo + want, width)]
-        lo += want
-    if n == 5000:
-        # about 578k candidates in one batch, whose last slice comes after
-        # the last accepted path: a sampler that stopped once it had n
-        # paths would skip it. At N the n-th path falls in the last slice.
-        assert layout[-1][0] > int(expected[0][-1])
+    expected, _ = whole_batch_paths(n, stride, threads)
     monkeypatch.setattr(exps, "kinetic_ensemble", recording)
-    sliced_paths(monkeypatch, n, 1 << 34, threads)
-    assert calls == layout
+    sliced_paths(monkeypatch, n, stride, threads)
+    width = threads << 16
+    # consecutive slices of `width` from the window's first stream; the
+    # sizes sum to the candidate count, the benchmark's path count
+    assert calls == [(STREAM_LO + lo, min(width, stride - lo))
+                     for lo in range(0, len(calls) * width, width)]
+    # the last holds the n-th accepted stream: no candidate runs past its slice
+    first, size = calls[-1]
+    assert first <= int(expected[0][-1]) < first + size
+    if stride == CLIP:
+        # clipped at the end of a window that the width does not divide
+        assert first + size == STREAM_LO + CLIP and size == CLIP % width
 
 
 def test_memory_does_not_grow_with_candidates():
