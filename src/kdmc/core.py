@@ -15,7 +15,7 @@ splitmix64 stream keys and hash, the two uniform maps, ports of the cephes
 an in-file port of glibc's FMA-build `log`, not the C library's; `ndtr` calls
 its `exp`), the random walk, the lockstep engine's per-round and moment kernels.
 Elsewhere `log` and `exp` are numpy's: `exponential_keyed` and the engine's
-flights take `np.log` of the C uniforms, a KD collision one `np.exp` (`kd.py`).
+flights take `np.log` of the C uniforms, and its KD collisions one `np.exp`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "finite",
     "step_count",
     "whole_steps",
-    "collision",
     "lockstep",
     "map_chunked",
 ]
@@ -381,51 +380,44 @@ def _addr(a):
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def collision(kind, live, dtau, params, kd=None, ea=None):
-    """One C pass of collisions after the flights dtau: `kind` KINETIC, ORACLE
-    or KD picks the move (see `_draws.c`). KD also takes its substep: the
-    constants kd, live["left"] and ea = e^-a."""
-    cols = dict(live, dtau=dtau, ea=ea)
-    _draws.collide(
-        kind, *(None if cols.get(name) is None else _addr(cols[name])
-                for name in ("keys", "ctr", "dtau", "x", "v", "rem", "left", "ea")),
-        kd, params.eps, math.sqrt(params.temperature), params.eps * params.u, dtau.size)
-
-
 def _col(a):
     # a column's data, read in place, and its element stride: 1, or 0 for one value for all
     return a.ctypes.data, int(a.strides[0] != 0)
 
 
-def lockstep(live, params, seed, stream_lo, out, collide):
-    """Run a particle population to the end in lockstep rounds and write
-    each particle's records; returns the wall seconds of the rounds and the
-    number of collisions.
+def lockstep(kind, params, seed, stream_lo, out, kd=None, **columns):
+    """Run a particle population to the end in lockstep rounds of flights
+    and collisions, and write each particle's records; returns the wall
+    seconds of the rounds and the number of collisions.
 
-    Particle i draws from stream stream_lo + i under seed. `live` maps names
-    to columns of 8-byte values over the particles: at least "ctr" (next
-    counters), "rem" (time left), "x" and "v". out holds the records in
-    `RECORDS` order; an entry that is None or past the end of out is not
-    kept, but x always is. Round 0 reads the columns at their element
-    stride, 0 for one value for all (an np.broadcast_to view), and never
-    writes them, so they may be the caller's inputs; its uniform pass hashes
-    each particle's stream key. It presets each kept record to its value
-    without collisions, x + (v / eps) rem, v, 0, rem and rem, so a round-0
-    finisher costs only its flight draw and is never copied. lockstep then
-    replaces each column with a contiguous array it owns over the particles
-    still running, adds their stream keys as "keys" (and, if first_overlap
-    is kept, their round-0 flights as "first"), and compacts them in place
-    without keeping their order. In round r every live particle draws its
-    flight dtau = (eps^2 / sigma) Exp(1) at its next counter. Time left is
-    the only exit: a particle whose flight reaches rem finishes with r
+    Particle i draws from stream stream_lo + i under seed. `columns` are
+    8-byte values over the particles: "ctr" (next counters), "rem" (time
+    left), "x" and "v", and for KD "left" (the steps not yet started), with
+    kd its `struct kd` constants. out holds the records in `RECORDS` order;
+    an entry that is None or past the end of out is not kept, but x always
+    is. Round 0 reads the columns at their element stride, 0 for one value
+    for all (an np.broadcast_to view), and never writes them, so they may be
+    the caller's inputs; its uniform pass hashes each particle's stream key.
+    It presets each kept record to its value without collisions,
+    x + (v / eps) rem, v, 0, rem and rem, so a round-0 finisher costs only
+    its flight draw and is never copied. The particles still running then
+    move into contiguous arrays lockstep owns, with their stream keys (and,
+    if first_overlap is kept, their round-0 flights), which it compacts in
+    place without keeping their order. In round r every live particle draws
+    its flight dtau = (eps^2 / sigma) Exp(1) at its next counter. Time left
+    is the only exit: a particle whose flight reaches rem finishes with r
     collisions at x + (v / eps) tail, where tail = rem is its last flight,
     and its records are x, v, r, its round-0 flight and tail. The others
-    collide: collide(dtau) moves them (dtau is live["dtau"], lockstep's
-    buffer), and one it leaves with rem = 0 finishes at its next flight.
+    collide in one C pass, `collide`, whose move `kind` picks: KINETIC moves
+    a particle by its flight and draws its velocity, ORACLE moves it at a
+    fresh velocity and leaves its pinned v alone, and KD, after `kd_steps`
+    and np.exp of -a into a buffer lockstep owns, also takes the Gaussian
+    substep and sets rem to the steps not yet started, so a particle past
+    its last step finishes at its next flight.
     """
     out_x, out_v, out_coll, out_first, out_last = (*out, None, None, None, None)[:5]
     eps, scale, n = params.eps, params.eps * params.eps / params.sigma, out_x.size
-    seed = int(np.uint64(seed))
+    seed, live = int(np.uint64(seed)), columns
     t_loop = time.perf_counter()
     dtau, done_buf = np.empty(n), np.empty(n, dtype=np.bool_)
     _draws.uniforms(None, seed, stream_lo, *_col(live["ctr"]), 1.0, _addr(dtau), n)
@@ -453,16 +445,24 @@ def lockstep(live, params, seed, stream_lo, out, collide):
     live["keys"] = np.empty(n - count, dtype=np.uint64)
     _draws.stream_keys(seed, stream_lo, None if slots is None else slots.ctypes.data,
                        _addr(live["keys"]), n - count)
+    ea = np.empty(n - count) if kind == KD else None  # a KD round's e^-a
+    # each round's arrays stay where they are: compaction only shortens the columns
+    ptr = {name: _addr(a) for name, a in dict(live, done=done_buf, ea=ea).items() if a is not None}
+    move = (kind, *map(ptr.get, ("keys", "ctr", "dtau", "x", "v", "rem", "left", "ea")), kd,
+            eps, math.sqrt(params.temperature), eps * params.u)
     rnd = collisions = 0
     while True:
-        collide(live["dtau"])
-        rnd += 1
         m = live["rem"].size
-        ctr, dtau, done = live["ctr"], live["dtau"], done_buf[:m]
-        _draws.uniforms(_addr(live["keys"]), 0, 0, _addr(ctr), 1, 1.0, _addr(dtau), m)
+        if kind == KD:
+            _draws.kd_steps(kd, ptr["dtau"], ptr["left"], ptr["rem"], ptr["ea"], m)
+            np.exp(ea[:m], out=ea[:m])
+        _draws.collide(*move, m)
+        rnd += 1
+        dtau, done = live["dtau"], done_buf[:m]
+        _draws.uniforms(ptr["keys"], 0, 0, ptr["ctr"], 1, 1.0, ptr["dtau"], m)
         np.log(dtau, out=dtau)
-        count = _draws.flights(_addr(live["rem"]), 1, _addr(dtau), _addr(ctr), _addr(done),
-                               None, 0, None, 0, None, scale, eps, m)
+        count = _draws.flights(ptr["rem"], 1, ptr["dtau"], ptr["ctr"], ptr["done"], None, 0,
+                               None, 0, None, scale, eps, m)
         if not count:
             continue
         collisions += rnd * count
@@ -482,7 +482,7 @@ def lockstep(live, params, seed, stream_lo, out, collide):
         if slots is None:
             slots = np.arange(m)  # compacted with the others from here on
         cols = [*live.values(), slots]
-        left = _draws.compact(_addr(done), m, (ctypes.c_void_p * len(cols))(*map(_addr, cols)),
+        left = _draws.compact(ptr["done"], m, (ctypes.c_void_p * len(cols))(*map(_addr, cols)),
                               len(cols))
         for name in live:
             live[name] = live[name][:left]

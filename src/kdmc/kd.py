@@ -9,13 +9,12 @@ correlation. A flight spanning several steps is executed as one kinetic
 move and the clock jumps to the end of the step containing the collision.
 
 `kd_ensemble` runs the same draws on a population through
-`core.lockstep`, which writes the records x, v and collisions; the driver
-gives it the live columns and `_kd_collision`. A collision moves the
-particle by its flight, draws its new velocity, takes the Gaussian substep
-and sets the particle's time left to the steps it has not started, all in
-C but for one np.exp. A particle past its last step has no time left: its
-next flight finishes it with a tail of 0, as every particle leaves the
-engine, on a flight.
+`core.lockstep`, which writes the records x, v and collisions and runs the
+KD collision: it moves the particle by its flight, draws its new velocity,
+takes the Gaussian substep and sets the particle's time left to the steps
+it has not started, all in C but for one np.exp. A particle past its last
+step has no time left: its next flight finishes it with a tail of 0, as
+every particle leaves the engine, on a flight.
 `random_walk_ensemble` takes each chunk's steps in one C pass, `_draws.walk`.
 """
 
@@ -35,7 +34,6 @@ from .core import (
     _addr,
     _col,
     _draws,
-    collision,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.exponential_keyed
     lockstep,
@@ -132,17 +130,6 @@ def simulate_random_walk(state, dt, t_end, params, rng):
     return ParticleState(x, state.v, t_end)
 
 
-def _kd_collision(live, dtau, params, kd, ea):
-    """One KD collision of each live particle after its flight dtau, as
-    `simulate_kd` takes it: `kd_steps` (the step it ends in, theta and -a),
-    numpy's exp into the scratch ea, and `collide` (the move, the velocity
-    and the substep). A particle whose last step it was is left with rem =
-    0."""
-    _draws.kd_steps(kd, _addr(dtau), _addr(live["left"]), _addr(live["rem"]), _addr(ea), dtau.size)
-    np.exp(ea, out=ea)
-    collision(KD, live, dtau, params, kd, ea=ea)
-
-
 def kd_ensemble(
     params,
     x0,
@@ -171,16 +158,9 @@ def kd_ensemble(
 
     def run(lo, hi):
         x, v, first, ctr, records = views(lo, hi)
-        live = {
-            "ctr": ctr,
-            "rem": np.broadcast_to(n_steps * dt, (hi - lo,)),
-            "left": np.broadcast_to(np.int64(n_steps), (hi - lo,)),  # steps not yet started
-            "x": x,
-            "v": v,
-        }
-        ea = np.empty(hi - lo)
-        return lockstep(live, params, seed, first, records,
-                        lambda dtau: _kd_collision(live, dtau, params, kd, ea[:dtau.size]))
+        return lockstep(KD, params, seed, first, records, kd, ctr=ctr,
+                        rem=np.broadcast_to(n_steps * dt, (hi - lo,)),
+                        left=np.broadcast_to(np.int64(n_steps), (hi - lo,)), x=x, v=v)
 
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))

@@ -2,9 +2,8 @@
 
 The scalar stepper is the readable reference. `kinetic_ensemble` runs the
 same draws on a population through `core.lockstep`, which writes all five
-records; the driver gives it the live columns and the kinetic collision,
-which moves the particle by its flight and draws a Maxwellian velocity at
-the next counter.
+records and runs the kinetic collision: it moves the particle by its flight
+and draws a Maxwellian velocity at the next counter.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .core import (
     RECORDS,
     Ensemble,
     ParticleState,
-    collision,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.exponential_keyed
     lockstep,
@@ -106,9 +104,7 @@ def kinetic_ensemble(
 
     def run(lo, hi):
         x, v, rem, first, ctr, records = views(lo, hi)
-        live = {"ctr": ctr, "rem": rem, "x": x, "v": v}
-        return lockstep(live, params, seed, first, records,
-                        lambda dtau: collision(KINETIC, live, dtau, params))
+        return lockstep(KINETIC, params, seed, first, records, ctr=ctr, rem=rem, x=x, v=v)
 
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))

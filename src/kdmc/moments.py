@@ -54,20 +54,24 @@ def _durations(dt, zero_ok=True):
     return dt
 
 
+def _value(a):
+    """a, or a float if it is 0-d: scalar inputs give floats."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def _kernel_table(a):
     """The four exponential kernels at a >= 0, series-patched below A_SMALL.
 
     Returns (e^-a - 1 + a, 1 - e^-a, 1 - 2a e^-a - e^-2a,
-    2 e^-a + a + a e^-a - 2) and a scalar-input flag. One np.exp serves all
+    2 e^-a + a + a e^-a - 2), each in the shape of a. One np.exp serves all
     four; the rest is `kernels` in `_draws.c`, which KD collisions share.
     """
     a = _durations(a)
-    scalar = a.ndim == 0
-    a = np.ascontiguousarray(a.reshape(1) if scalar else a)
-    ea = np.exp(-a)
-    k = np.empty((4, *a.shape))
-    _draws.kernels(a.ctypes.data, ea.ctypes.data, k.ctypes.data, a.size)
-    return tuple(k), scalar
+    flat = np.ascontiguousarray(a.reshape(-1))  # 1-d: numpy's exp may take another loop on 0-d
+    ea = np.exp(-flat)
+    k = np.empty((4, flat.size))
+    _draws.kernels(flat.ctypes.data, ea.ctypes.data, k.ctypes.data, flat.size)
+    return tuple(k.reshape(4, *a.shape))
 
 
 def _substep_constants(params, dt):
@@ -79,9 +83,7 @@ def _substep_constants(params, dt):
 
 def mean_unconditioned(params, dt):
     """Mean displacement over dt with all velocities Maxwellian: u * dt."""
-    dt = _durations(dt)
-    out = params.u * dt
-    return out if out.ndim else float(out)
+    return _value(params.u * _durations(dt))
 
 
 def var_unconditioned(params, dt):
@@ -89,9 +91,8 @@ def var_unconditioned(params, dt):
 
     2 (eps/sigma)**2 T (e**(-a) - 1 + a) with a = sigma dt / eps**2.
     """
-    (k1, _, _, _), scalar = _kernel_table(params.collisionality(np.asarray(dt, dtype=np.float64)))
-    out = 2.0 * (params.eps / params.sigma) ** 2 * params.temperature * k1
-    return float(out[0]) if scalar else out
+    k1 = _kernel_table(params.collisionality(np.asarray(dt, dtype=np.float64)))[0]
+    return _value(2.0 * (params.eps / params.sigma) ** 2 * params.temperature * k1)
 
 
 def conditioned_mean_var(params, dt, v_final):
@@ -105,14 +106,12 @@ def conditioned_mean_var(params, dt, v_final):
     densely), so neither is the variance: its square root needs no clamp.
     """
     dt = np.asarray(dt, dtype=np.float64)
-    (_, k2, k3, k4), scalar = _kernel_table(params.collisionality(dt))
+    _, k2, k3, k4 = _kernel_table(params.collisionality(dt))
     drift = np.asarray(v_final, dtype=np.float64) / params.eps - params.u
     rate_scale, diffusive = _substep_constants(params, dt)[4:]
     mean = params.u * dt + drift * rate_scale * k2
     var = diffusive * k4 + drift * drift * rate_scale * rate_scale * k3
-    if scalar and mean.ndim == 1 and mean.shape[0] == 1 and np.ndim(v_final) == 0:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return _value(mean), _value(var)
 
 
 def final_flight_moments(params, dt):
@@ -121,13 +120,9 @@ def final_flight_moments(params, dt):
     mean = (eps**2/sigma)(1 - e**(-a)),
     var  = (eps**4/sigma**2)(1 - 2a e**(-a) - e**(-2a)).
     """
-    (_, k2, k3, _), scalar = _kernel_table(params.collisionality(np.asarray(dt, dtype=np.float64)))
+    _, k2, k3, _ = _kernel_table(params.collisionality(np.asarray(dt, dtype=np.float64)))
     rate_scale = params.eps**2 / params.sigma
-    mean = rate_scale * k2
-    var = rate_scale * rate_scale * k3
-    if scalar:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return _value(rate_scale * k2), _value(rate_scale * rate_scale * k3)
 
 
 def bound_low_conditioned(params, dt):
@@ -136,10 +131,9 @@ def bound_low_conditioned(params, dt):
     0.24959 sqrt(T sigma dt**3 / eps**4).
     """
     dt = _durations(dt)
-    out = LOW_COLLISIONAL_CONSTANT * np.sqrt(
+    return _value(LOW_COLLISIONAL_CONSTANT * np.sqrt(
         params.temperature * params.sigma * dt**3 / params.eps**4
-    )
-    return out if out.ndim else float(out)
+    ))
 
 
 def bound_high_collisional(params, dt, t_end):
@@ -154,9 +148,7 @@ def bound_high_collisional(params, dt, t_end):
     total = (
         HIGH_COLLISIONAL_CONSTANT * root_t * params.eps**3 * t_end / np.sqrt(params.sigma**3 * dt**3)
     )
-    if local.ndim:
-        return local, total
-    return float(local), float(total)
+    return _value(local), _value(total)
 
 
 def _simpson(f, lo, hi, n):

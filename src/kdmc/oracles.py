@@ -6,9 +6,9 @@ fresh Maxwellian draws; only the segment that reaches the end of the step
 flies at the pinned value (when no collision occurs, the whole step does).
 Because the final velocity is independent of all other randomness in the
 jump process, substituting its value samples the conditioned law exactly.
-The paths run through `core.lockstep`, which writes the increments; the
-driver gives it the live columns and the oracle collision, which moves a
-path by its flight at a fresh Maxwellian velocity.
+The paths run through `core.lockstep`, which writes the increments and
+runs the oracle collision: it moves a path by its flight at a fresh
+Maxwellian velocity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     ORACLE,
-    collision,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.exponential_keyed
     lockstep,
@@ -69,11 +68,9 @@ def conditioned_increment_ensemble(
                                v_final=v_final, x0=0.0)
 
     def run(lo, hi):
-        # a path's live "v" is its pinned final velocity, which collisions leave alone
+        # a path's v is its pinned final velocity, which collisions leave alone
         rem, v, x, first, ctr, records = views(lo, hi)
-        live = {"ctr": ctr, "rem": rem, "x": x, "v": v}
-        lockstep(live, params, seed, first, records,
-                 lambda dtau: collision(ORACLE, live, dtau, params))
+        lockstep(ORACLE, params, seed, first, records, ctr=ctr, rem=rem, x=x, v=v)
 
     map_chunked(run, n, threads=threads, chunk=chunk)
     return dx

@@ -1,3 +1,4 @@
+import ctypes
 import importlib
 import math
 import pkgutil
@@ -15,10 +16,13 @@ from kdmc import (
     RngStream,
     sample_maxwellian,
 )
+from kdmc import core as core_module
 from kdmc import kd as kd_module
 from kdmc import kinetic as kinetic_module
 from kdmc import oracles as oracles_module
 from kdmc.core import (
+    KD,
+    _draws,
     exponential_keyed,
     lockstep,
     map_chunked,
@@ -29,6 +33,8 @@ from kdmc.core import (
     stream_keys,
     uniform_open_closed,
 )
+from kdmc.kd import simulate_kd
+from kdmc.moments import _substep_constants
 from conftest import EDGE_COUNTERS, StubRng, moment_check
 
 _MASK = 2**64 - 1
@@ -243,40 +249,51 @@ class TestChunking:
 
 
 class TestLockstep:
-    def test_time_left_is_the_only_exit(self):
-        # a numpy stub collide moves every particle by +1 and leaves particle
-        # k without time at its k-th collision; particles 0 and 3 finish on
-        # their round-0 flights
-        n = 6
+    def test_time_left_is_the_only_exit(self, monkeypatch):
+        # KD steps of dt = 1e6, far above any flight, so each collision starts
+        # exactly one step: particle k, given k steps, collides k times and
+        # finishes on the flight after its last step; particles 0 and 3
+        # finish on their round-0 flights
+        n, dt = 6, 1e6
         p = BackgroundParams(2.0, 0.0, 1.0, 0.5)  # flights of (eps^2 / sigma) Exp(1)
         keys = stream_keys(3, np.arange(n, dtype=np.uint64))
         ctr0 = np.arange(n, dtype=np.uint64) * np.uint64(7)
         first = exponential_keyed(keys, ctr0) * (p.eps * p.eps / p.sigma)
-        rem0 = np.full(n, 1e300)
+        left = np.arange(n)
+        rem0 = left * dt
         rem0[[0, 3]] = first[[0, 3]] / 2
         x0, v0 = np.arange(n) + 0.5, np.linspace(-1.0, 1.0, n)
-        live = {"ctr": ctr0.copy(), "rem": rem0.copy(), "x": x0.copy(), "v": v0.copy(),
-                "id": np.arange(n)}
         out_x, out_coll, out_last = np.full(n, np.nan), np.full(n, -1), np.full(n, np.nan)
         calls = []
 
-        def collide(dtau):
-            calls.append(dtau.size)
-            live["x"] += 1.0
-            live["rem"][live["id"] == len(calls)] = 0.0
+        class Recording:
+            # the engine's C passes, recording the live count of each collision pass
+            def __getattr__(self, name):
+                return getattr(_draws, name)
 
-        _, collisions = lockstep(live, p, 3, 0, (out_x, None, out_coll, None, out_last), collide)
+            def collide(self, *args):
+                calls.append(args[-1])
+                return _draws.collide(*args)
+
+        monkeypatch.setattr(core_module, "_draws", Recording())
+        kd = (ctypes.c_double * 6)(*_substep_constants(p, dt))
+        _, collisions = lockstep(KD, p, 3, 0, (out_x, None, out_coll, None, out_last), kd,
+                                 ctr=ctr0, rem=rem0, left=left, x=x0, v=v0)
         assert calls == [4, 3, 2, 2, 1]
         # each particle's round, in its own slot, and a tail of 0 after its last collision
         assert out_coll.tolist() == [0, 1, 2, 0, 4, 5] and collisions == 12
         assert out_last[[1, 2, 4, 5]].tolist() == [0.0] * 4
-        # a finisher with no time left stays where its last collision put it
-        for k in (1, 2, 4, 5):
-            assert out_x[k] == x0[k] + k
         # round-0 finishers keep the preset x + (v / eps) rem and last overlap rem
         for k in (0, 3):
             assert out_x[k] == x0[k] + (v0[k] / p.eps) * rem0[k] and out_x[k] != x0[k]
             assert out_last[k] == rem0[k]
+        # every position is the scalar stepper's, bit for bit: k steps of dt,
+        # or for a round-0 finisher one step of its time left
+        for k in range(n):
+            step, steps = (rem0[k], 1) if k in (0, 3) else (dt, k)
+            rec = simulate_kd(ParticleState(x0[k], v0[k]), step, steps * step, p,
+                              RngStream(3, k, counter=int(ctr0[k])))
+            assert (rec.final_state.x, rec.collisions_executed) == (out_x[k], out_coll[k])
 
 
 class TestStepGrid:

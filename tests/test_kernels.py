@@ -19,12 +19,11 @@ from kdmc.core import (
     KINETIC,
     ORACLE,
     _draws,
-    collision,
     exponential_keyed,
     normal_keyed,
     stream_keys,
 )
-from kdmc.kd import _kd_collision, kd_ensemble, random_walk_ensemble
+from kdmc.kd import kd_ensemble, random_walk_ensemble
 from kdmc.kinetic import kinetic_ensemble, simulate_kinetic
 from kdmc.moments import A_SMALL, _kernel_table, _substep_constants
 from kdmc.oracles import conditioned_increment_ensemble
@@ -263,10 +262,20 @@ def kd_steps(dtau, dt, left, params=PARAMS):
     return theta, nega
 
 
-def kd_collision(live, dtau, params, dt):
-    """The C KD collision; returns the mask of particles it left without
-    time, which the engine finishes at their next flight."""
-    _kd_collision(live, dtau, params, kd_constants(params, dt), np.empty(dtau.size))
+def collide(kind, live, dtau, params, dt=None):
+    """One C collision pass as `core.lockstep` runs it, KD (steps of dt)
+    after `kd_steps` and np.exp of -a; returns the mask of particles it left
+    without time, which the engine finishes at their next flight."""
+    kd = ea = None
+    if kind == KD:
+        kd, ea = kd_constants(params, dt), np.empty(dtau.size)
+        _draws.kd_steps(kd, addr(dtau), addr(live["left"]), addr(live["rem"]), addr(ea),
+                        dtau.size)
+        np.exp(ea, out=ea)
+    cols = dict(live, dtau=dtau, ea=ea)
+    _draws.collide(kind, *(None if cols.get(name) is None else addr(cols[name])
+                           for name in ("keys", "ctr", "dtau", "x", "v", "rem", "left", "ea")),
+                   kd, params.eps, math.sqrt(params.temperature), params.eps * params.u, dtau.size)
     return live["rem"] == 0
 
 
@@ -281,10 +290,10 @@ def test_collide(kind, n):
     if kind == KD:
         dt = 0.1
         done_want = numpy_kd_collide(want, dtau, PARAMS, dt)
-        assert np.array_equal(kd_collision(live, dtau, PARAMS, dt), done_want)
+        assert np.array_equal(collide(KD, live, dtau, PARAMS, dt), done_want)
     else:
         numpy_collide(kind, want, dtau, PARAMS)
-        collision(kind, live, dtau, PARAMS)
+        collide(kind, live, dtau, PARAMS)
     for name in live:
         assert same_bits(live[name], want[name]), name
 
@@ -349,7 +358,7 @@ def test_kd_collision_edges_in_one_block():
     assert (a < A_SMALL).any() and (a == A_SMALL).any() and (a > A_SMALL).any()
     assert theta[31] == 0.0 and theta[30] == dt and (left == 0).any()
     done_want = numpy_kd_collide(want, dtau, p, dt)
-    assert np.array_equal(kd_collision(live, dtau, p, dt), done_want)
+    assert np.array_equal(collide(KD, live, dtau, p, dt), done_want)
     for name in live:
         assert same_bits(live[name], want[name]), name
 
@@ -359,13 +368,10 @@ def test_kernel_table_matches_numpy():
     edge = A_SMALL + np.arange(-4096, 4097) * np.spacing(A_SMALL)
     wide = np.concatenate([[0.0, 5e-324], np.logspace(-320, 300, 20_001)])
     for a in (edge, wide, edge[::-7].reshape(1, -1)):
-        kernels, scalar = _kernel_table(a)
-        assert not scalar
-        for k, want in zip(kernels, numpy_kernel_table(a)):
-            assert same_bits(k, want)
-    kernels, scalar = _kernel_table(A_SMALL)
-    assert scalar and all(same_bits(k, w) for k, w in
-                          zip(kernels, numpy_kernel_table(np.array([A_SMALL]))))
+        for k, want in zip(_kernel_table(a), numpy_kernel_table(a)):
+            assert k.shape == a.shape and same_bits(k, want)
+    for k, want in zip(_kernel_table(A_SMALL), numpy_kernel_table(np.array([A_SMALL]))):
+        assert k.shape == () and same_bits(k.reshape(1), want)
 
 
 def test_normals_match_the_uniforms_through_scipy():

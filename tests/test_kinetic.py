@@ -20,7 +20,7 @@ from conftest import ROUND_ZERO_POPULATIONS, StubRng, moment_check, round_zero_i
 
 @pytest.mark.parametrize("duration", [math.nan, math.inf, -0.5])
 def test_ensemble_rejects_bad_duration(monkeypatch, duration):
-    def no_lockstep(*args):
+    def no_lockstep(*args, **kwargs):
         raise AssertionError("the ensemble started before its duration was checked")
 
     monkeypatch.setattr(kinetic_module, "lockstep", no_lockstep)

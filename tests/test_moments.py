@@ -178,8 +178,8 @@ class TestBounds:
 class TestKernels:
     def test_expm1_plus_small(self):
         # the series branch resolves the a^2/2 leading term, not zero
-        (k1, _, _, _), _ = _kernel_table(1e-8)
-        assert k1[0] == pytest.approx(5e-17, rel=0.01)
+        k1 = _kernel_table(1e-8)[0]
+        assert k1.shape == () and k1 == pytest.approx(5e-17, rel=0.01)
 
     def test_series_closed_crossover(self):
         # the direct expressions carry ~1e-16 absolute cancellation noise at
@@ -192,16 +192,14 @@ class TestKernels:
                 1.0 - 2 * a * math.exp(-a) - math.exp(-2 * a),
                 2 * math.exp(-a) + a + a * math.exp(-a) - 2.0,
             )
-            kernels, scalar = _kernel_table(a)
-            assert scalar
-            for k, want in zip(kernels, closed):
-                assert k[0] == pytest.approx(want, abs=5e-16)
+            for k, want in zip(_kernel_table(a), closed):
+                assert k.shape == () and k == pytest.approx(want, abs=5e-16)
 
     def test_large_a_asymptote_bitwise(self):
         # beyond a = 45 every e^-a term is below half an ulp of the value it
         # joins, so the exponential expressions give the asymptotes exactly
         a = np.linspace(45.0, 900.0, 4001)
-        (k1, k2, k3, k4), _ = _kernel_table(a)
+        k1, k2, k3, k4 = _kernel_table(a)
         assert np.array_equal(k1, a - 1.0)
         assert np.array_equal(k2, np.ones_like(a))
         assert np.array_equal(k3, np.ones_like(a))
@@ -209,7 +207,7 @@ class TestKernels:
 
     def test_all_kernels_finite_nonnegative(self):
         a = np.array([0.0, 1e-8, 1e-4, 1e-3, 1.0, 10.0, 1e3])
-        (k1, k2, k3, k4), _ = _kernel_table(a)
+        k1, k2, k3, k4 = _kernel_table(a)
         for k in (k1, k2, k3, k4):
             assert np.all(np.isfinite(k))
             assert np.all(k >= 0.0)
@@ -224,7 +222,7 @@ class TestKernels:
         edge = A_SMALL + np.arange(-(1 << 12), 1 << 12) * np.spacing(A_SMALL)
         wide = np.concatenate([[0.0, 5e-324], np.logspace(-320, 300, 200_001)])
         for a in (near, edge, wide):
-            (_, _, k3, k4), _ = _kernel_table(a)
+            _, _, k3, k4 = _kernel_table(a)
             for k in (k3, k4):
                 assert np.all(k >= 0.0) and not np.signbit(k).any()
         assert (edge < A_SMALL).any() and (edge >= A_SMALL).any()
@@ -236,6 +234,35 @@ class TestKernels:
         for v_final in (0.0, p.eps * p.u, -3.0, 8.0):
             _, var = conditioned_mean_var(p, theta, v_final)
             assert np.all(var >= 0.0) and not np.signbit(var).any()
+
+
+def results(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("f,args", [pytest.param(f, args, id=f.__name__) for f, args in (
+    (mean_unconditioned, ()), (var_unconditioned, ()), (final_flight_moments, ()),
+    (bound_low_conditioned, ()), (bound_high_collisional, (1.0,)), (conditioned_mean_var, (0.5,)),
+)])
+def test_scalar_inputs_give_floats(f, args):
+    # a scalar dt (and v_final) gives Python floats, and an array dt arrays of
+    # its shape, holding the scalar results' bits
+    p = BackgroundParams(1.3, 0.7, 2.0, 0.3)
+    dt = np.array([[1e-5, 0.1, 4.0]])
+    arrays = results(f(p, dt, *args))
+    for k, t in enumerate(dt.reshape(-1)):
+        scalars = results(f(p, float(t), *args))
+        assert len(scalars) == len(arrays)
+        for s, a in zip(scalars, arrays):
+            assert type(s) is float and isinstance(a, np.ndarray) and a.shape == dt.shape
+            assert np.float64(s).view(np.uint64) == a.reshape(-1)[k].view(np.uint64)
+
+
+def test_one_final_velocity_array_gives_arrays():
+    p = BackgroundParams(1.3, 0.7, 2.0, 0.3)
+    for v in (np.array([0.5]), np.array([0.5, -1.0])):
+        for out in conditioned_mean_var(p, 0.1, v):
+            assert isinstance(out, np.ndarray) and out.shape == v.shape
 
 
 class TestPaperConstants:

@@ -31,8 +31,7 @@ CLIP = 160_000
 def whole_batch_paths(n, stride, threads):
     """The sampler as it was before slicing: one kinetic_ensemble per
     batch, then flatnonzero. Returns its five arrays and the batch sizes."""
-    (_, k2, _, _), _ = _kernel_table(PARAMS.collisionality(DT))
-    accept_p = max(float(k2[0]), 1e-12)
+    accept_p = max(float(_kernel_table(PARAMS.collisionality(DT))[1]), 1e-12)
     kept, wants = [], []
     got = next_candidate = 0
     while got < n:
