@@ -114,6 +114,7 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
 
 _draws = _load_draws()
 KINETIC, ORACLE, KD = range(3)  # the kinds of _draws.collide
+CHUNK = 1 << 16  # particles per chunk of map_chunked and the ensembles
 
 
 def stream_keys(seed, stream):
@@ -296,32 +297,32 @@ class Ensemble:
     total_collisions: int = 0
 
 
-def ensemble_io(n, stream_lo, ctr0, out, dtypes, **states):
+def ensemble_io(n, stream_lo, ctr0, out, dtypes, step, **columns):
     """Check the inputs of an ensemble of n particles and give it its
-    outputs before any of it runs; returns (out, views).
+    outputs before any of it runs; returns (out, run).
 
     Particle i draws from stream stream_lo + i in [0, 2**64) from counter
     ctr0: None (0), one for all or one per particle, integers in [0, 2**64).
-    `states` are finite floats, one for all or one per particle. out is
-    None, for new arrays of `dtypes`, or the caller's arrays in that order:
-    each writable, contiguous and of n, or None, like any entry past the end
-    of out, for an output not recorded; the first is always recorded. No
-    two kept outputs, and no output and input, may share memory: the engine
-    reads its inputs in place while it writes the outputs.
-    Anything else raises ValueError. views(lo, hi) gives the chunk [lo, hi):
-    its states, first stream id, counters and outputs. One value for all is
-    an np.broadcast_to view of stride 0, never n copies.
+    `columns`, under `lockstep`'s names, are finite floats, one for all or
+    one per particle. out is None, for new arrays of `dtypes`, or the
+    caller's arrays in that order: each writable, contiguous and of n, or
+    None, like any entry past the end of out, for an output not recorded;
+    the first is always recorded. No two kept outputs, and no output and
+    input, may share memory: the engine reads its inputs in place while it
+    writes the outputs. Anything else raises ValueError. run(lo, hi) returns
+    step(stream_lo + lo, outputs, ctr=counters, **columns) on the chunk
+    [lo, hi); one value for all is a stride-0 np.broadcast_to view.
     """
     lo = _uint64("stream_lo", stream_lo)
     if lo.ndim or int(lo) + n > 2**64:
         raise ValueError(f"streams stream_lo + i for i < {n} must lie in [0, 2**64), "
                          f"got stream_lo = {stream_lo!r}")
-    columns = {"ctr0": _uint64("ctr0", 0 if ctr0 is None else ctr0)}
-    columns.update((name, finite(name, values)) for name, values in states.items())
+    columns = {"ctr": _uint64("ctr0", 0 if ctr0 is None else ctr0),
+               **{name: finite(name, values) for name, values in columns.items()}}
     for name, col in columns.items():
         if col.shape not in ((), (n,)):
-            raise ValueError(f"{name} must be one value or one per particle ({n}), "
-                             f"got shape {col.shape}")
+            raise ValueError(f"{'ctr0' if name == 'ctr' else name} must be one value or one "
+                             f"per particle ({n}), got shape {col.shape}")
     out = tuple(np.empty(n, dtype=d) for d in dtypes) if out is None else tuple(out)
     out += (None,) * (len(dtypes) - len(out))
     if len(out) != len(dtypes) or not all(
@@ -335,14 +336,14 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, **states):
     if any(np.shares_memory(a, b) for k, a in enumerate(kept)
            for b in (*kept[k + 1:], *columns.values())):
         raise ValueError("out arrays must share no memory with each other or with the inputs")
-    ctr0, *states = (np.broadcast_to(col, (n,)) if col.ndim == 0 else col
-                     for col in columns.values())
+    columns = {name: np.broadcast_to(col, (n,)) if col.ndim == 0 else col
+               for name, col in columns.items()}
 
-    def views(a, b):
-        return (*(s[a:b] for s in states), int(lo) + a, ctr0[a:b],
-                [o if o is None else o[a:b] for o in out])
+    def run(a, b):
+        return step(int(lo) + a, [o if o is None else o[a:b] for o in out],
+                    **{name: col[a:b] for name, col in columns.items()})
 
-    return out, views
+    return out, run
 
 
 def finite(name, values):
@@ -370,7 +371,7 @@ def whole_steps(dt, n_steps):
     """Check the step grid of a stepping ensemble; returns n_steps as int."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if n_steps < 1 or int(n_steps) != n_steps:
+    if not 1 <= n_steps < math.inf or int(n_steps) != n_steps:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
     return int(n_steps)
 
@@ -391,14 +392,14 @@ def lockstep(kind, params, seed, stream_lo, out, kd=None, **columns):
     seconds of the rounds and the number of collisions.
 
     Particle i draws from stream stream_lo + i under seed. `columns` are
-    8-byte values over the particles: "ctr" (next counters), "rem" (time
-    left), "x" and "v", and for KD "left" (the steps not yet started), with
-    kd its `struct kd` constants. out holds the records in `RECORDS` order;
-    an entry that is None or past the end of out is not kept, but x always
-    is. Round 0 reads the columns at their element stride, 0 for one value
-    for all (an np.broadcast_to view), and never writes them, so they may be
-    the caller's inputs; its uniform pass hashes each particle's stream key.
-    It presets each kept record to its value without collisions,
+    8-byte values over the particles, as `ensemble_io` hands them to a step:
+    "ctr" (next counters), "rem" (time left), "x" and "v", and for KD "left"
+    (the steps not yet started), with kd its `struct kd` constants. out
+    holds the records in `RECORDS` order; an entry that is None or past the
+    end of out is not kept, but x always is. Round 0 reads the columns at
+    their element stride, 0 for one value for all, and never writes them, so
+    they may be the caller's inputs; its uniform pass hashes each particle's
+    stream key. It presets each kept record to its value without collisions,
     x + (v / eps) rem, v, 0, rem and rem, so a round-0 finisher costs only
     its flight draw and is never copied. The particles still running then
     move into contiguous arrays lockstep owns, with their stream keys (and,
@@ -489,7 +490,7 @@ def lockstep(kind, params, seed, stream_lo, out, kd=None, **columns):
         slots = slots[:left]
 
 
-def map_chunked(fn, n, threads=1, chunk=1 << 16):
+def map_chunked(fn, n, threads=1, chunk=CHUNK):
     """Run fn(lo, hi) over fixed chunks of range(n); returns the chunks'
     return values in chunk order.
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _POINT_STRIDE, emit_csv
-from .core import (RECORDS, BackgroundParams, _draws, _stream_draws, ndtr, normal_from_counter,
-                   step_count, uniform_open_closed)
+from .core import (CHUNK, RECORDS, BackgroundParams, _draws, _stream_draws, ndtr,
+                   normal_from_counter, step_count, uniform_open_closed)
 from .kd import kd_ensemble, random_walk_ensemble
 from .kinetic import kinetic_ensemble
 from .metrics import HistogramSpec, w1_sorted
@@ -71,21 +71,21 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     """Simulate kinetic single steps from (0, v0), keeping the first n
     paths with at least one collision.
 
-    Candidates run in stream order, in slices of threads << 16 from the
+    Candidates run in stream order, in slices of threads * CHUNK from the
     start of the point's window of _POINT_STRIDE streams, until a slice
     holds the n-th accepted path, so the accepted set is a pure function of
     the seed. Rejection leaves the conditioned law unbiased. The last slice
     is clipped at the window's end, and a point that needs more fails rather
-    than reuse the next point's. Each slice's inputs are views of one
+    than reuse the next point's. Each slice's inputs are windows on one
     buffer, which the engine reads in place: it copies only the candidates
     that collide, and every slice records into one buffer allocated per
     call, so no slice faults in output pages of its own. The accepted paths
-    go straight into n-sized outputs, so memory is O(threads * 2**16 + n)
+    go straight into n-sized outputs, so memory is O(threads * CHUNK + n)
     whatever the acceptance rate, and each grid point's arrays die before
     the next point starts. Returns (stream ids, displacement, first overlap,
     last overlap, final velocity) of the accepted paths.
     """
-    width = threads << 16
+    width = threads * CHUNK
     x0, v0s = np.zeros(width), np.full(width, v0)
     records = tuple(np.empty(width, dtype=d) for d in RECORDS)
     out = (np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n), np.empty(n), np.empty(n))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CHUNK,
     KD,
     RECORDS,
     Ensemble,
@@ -140,7 +141,7 @@ def kd_ensemble(
     stream_lo=0,
     ctr0=None,
     threads=1,
-    chunk=1 << 16,
+    chunk=CHUNK,
     out=None,
 ):
     """Advance n particles over n_steps KD steps of size dt.
@@ -153,15 +154,14 @@ def kd_ensemble(
     """
     n_steps = whole_steps(dt, n_steps)
     n = len(x0)
-    out, views = ensemble_io(n, stream_lo, ctr0, out, RECORDS[:3], x0=x0, v0=v0)
     kd = (ctypes.c_double * 6)(*_substep_constants(params, dt))
+    left = np.broadcast_to(np.int64(n_steps), (n,))  # the steps not yet started
 
-    def run(lo, hi):
-        x, v, first, ctr, records = views(lo, hi)
-        return lockstep(KD, params, seed, first, records, kd, ctr=ctr,
-                        rem=np.broadcast_to(n_steps * dt, (hi - lo,)),
-                        left=np.broadcast_to(np.int64(n_steps), (hi - lo,)), x=x, v=v)
+    def step(first, out, **columns):
+        return lockstep(KD, params, seed, first, out, kd, left=left[:out[0].size], **columns)
 
+    out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS[:3], step, x=x0, v=v0,
+                           rem=n_steps * dt)
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))
 
@@ -175,20 +175,19 @@ def random_walk_ensemble(
     stream_lo=0,
     ctr0=None,
     threads=1,
-    chunk=1 << 16,
+    chunk=CHUNK,
 ):
     """Advance n particles over n_steps random-walk steps; returns positions."""
     n_steps = whole_steps(dt, n_steps)
     n = len(x0)
-    (x,), views = ensemble_io(n, stream_lo, ctr0, None, (np.float64,), x0=x0)
     drift = params.u * dt
     scale = math.sqrt(2.0 * (params.temperature / params.sigma) * dt)
 
-    def run(lo, hi):
-        x0, first, ctr, (xs,) = views(lo, hi)
-        xs[:] = x0  # then steps the output in place
-        _draws.walk(int(np.uint64(seed)), first, *_col(ctr), _addr(xs), drift, scale, n_steps,
-                    hi - lo)
+    def walk(first, out, ctr, x):
+        out[0][:] = x  # then steps the output in place
+        _draws.walk(int(np.uint64(seed)), first, *_col(ctr), _addr(out[0]), drift, scale, n_steps,
+                    ctr.size)
 
+    (positions,), run = ensemble_io(n, stream_lo, ctr0, None, (np.float64,), walk, x=x0)
     map_chunked(run, n, threads=threads, chunk=chunk)
-    return x
+    return positions

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
+    CHUNK,
     KINETIC,
     RECORDS,
     Ensemble,
@@ -84,7 +86,7 @@ def kinetic_ensemble(
     stream_lo=0,
     ctr0=None,
     threads=1,
-    chunk=1 << 16,
+    chunk=CHUNK,
     out=None,
 ):
     """Advance n particles over one interval of length `duration`; returns
@@ -100,11 +102,7 @@ def kinetic_ensemble(
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
     n = len(x0)
-    out, views = ensemble_io(n, stream_lo, ctr0, out, RECORDS, x0=x0, v0=v0, duration=duration)
-
-    def run(lo, hi):
-        x, v, rem, first, ctr, records = views(lo, hi)
-        return lockstep(KINETIC, params, seed, first, records, ctr=ctr, rem=rem, x=x, v=v)
-
+    out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS,
+                           partial(lockstep, KINETIC, params, seed), x=x0, v=v0, rem=duration)
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))

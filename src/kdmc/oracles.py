@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import (
+    CHUNK,
     ORACLE,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.exponential_keyed
@@ -51,27 +53,24 @@ def conditioned_increment_ensemble(
     stream_lo=0,
     ctr0=None,
     threads=1,
-    chunk=1 << 16,
+    chunk=CHUNK,
 ):
     """Sample n conditioned positional increments; returns displacements.
 
-    `durations` and `v_final` may be scalars or per-path arrays (per-path
-    step lengths are needed when conditioning on the remaining time).
+    `durations` and `v_final` may be scalars or arrays of n per-path values
+    (per-path step lengths are needed when conditioning on the remaining
+    time); n defaults to the length of per-path durations.
     """
     durations = np.asarray(durations, dtype=np.float64)
     if durations.ndim == 0 and n is None:
         raise ValueError("scalar duration requires an explicit path count n")
-    if (durations < 0).any():
+    if not ((durations >= 0) & (durations < math.inf)).all():
         raise ValueError("durations must be finite and nonnegative")
-    n = durations.shape[0] if durations.ndim else n
-    (dx,), views = ensemble_io(n, stream_lo, ctr0, None, (np.float64,), durations=durations,
-                               v_final=v_final, x0=0.0)
-
-    def run(lo, hi):
-        # a path's v is its pinned final velocity, which collisions leave alone
-        rem, v, x, first, ctr, records = views(lo, hi)
-        lockstep(ORACLE, params, seed, first, records, ctr=ctr, rem=rem, x=x, v=v)
-
+    n = len(durations) if n is None else n
+    # a path's v is its pinned final velocity, which collisions leave alone
+    (dx,), run = ensemble_io(n, stream_lo, ctr0, None, (np.float64,),
+                             partial(lockstep, ORACLE, params, seed), rem=durations, v=v_final,
+                             x=0.0)
     map_chunked(run, n, threads=threads, chunk=chunk)
     return dx
 

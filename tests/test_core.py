@@ -405,21 +405,29 @@ class TestEnsembleInputs:
         with pytest.raises(ValueError, match="share no memory"):
             _ensemble(name, x0=buf[:3], v=v, ctr0=ctr0, out=out)
 
+    def test_rejects_a_path_count_that_disagrees_with_the_durations(self):
+        p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="must be one value or one per particle"):
+            oracles_module.conditioned_increment_ensemble(p, np.ones(3), 0.5, n=5)
+
+    @staticmethod
+    def _chunk(n, stream_lo, ctr0):
+        # the first stream id and the counters that ensemble_io hands a step
+        _, run = ensemble_io(n, stream_lo, ctr0, None, (), lambda first, out, ctr: (first, ctr))
+        return run(0, n)
+
     def test_accepts_the_last_stream_window_and_counter(self):
         top = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
-        _, views = ensemble_io(3, 2**64 - 3, top, None, ())
-        first, ctr, _ = views(0, 3)
+        first, ctr = self._chunk(3, 2**64 - 3, top)
         assert [first + i for i in range(3)] == [2**64 - 3, 2**64 - 2, 2**64 - 1]
         assert ctr.dtype == np.uint64 and ctr.tolist() == [0, 2**63, 2**64 - 1]
-        _, views = ensemble_io(3, np.uint64(5), np.int64(7), None, ())
-        _, ctr, _ = views(0, 3)
+        _, ctr = self._chunk(3, np.uint64(5), np.int64(7))
         assert ctr.dtype == np.uint64 and ctr.tolist() == [7, 7, 7]
 
     @pytest.mark.parametrize("ctr0", [[1, 2**64 - 1], [0, 2**63]])
     def test_takes_counter_lists_exactly(self, ctr0):
         # numpy makes such lists float64, which rounds 2**64 - 1
-        _, views = ensemble_io(2, 0, ctr0, None, ())
-        _, ctr, _ = views(0, 2)
+        _, ctr = self._chunk(2, 0, ctr0)
         assert ctr.dtype == np.uint64 and ctr.tolist() == ctr0
 
 

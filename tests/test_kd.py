@@ -256,10 +256,12 @@ class TestRandomWalk:
         x = random_walk_ensemble(P_UNIT, np.zeros(n), 1.0, 1, seed=12)
         moment_check(x, target_mean=0.0, target_var=2.0)
 
-    @pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5, math.inf, math.nan])
     def test_step_count_validated(self, n_steps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
             random_walk_ensemble(P_UNIT, np.zeros(4), 0.5, n_steps, seed=5)
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
+            kd_ensemble(P_UNIT, np.zeros(4), np.zeros(4), 0.5, n_steps, seed=5)
 
     def test_scalar_matches_vectorized(self):
         n = 32
