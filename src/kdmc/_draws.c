@@ -1,9 +1,10 @@
 /* kdmc's draw arithmetic over caller buffers: the splitmix64 stream keys and
  * hash, the uniform maps and scipy.special's cephes ndtri, on a port of glibc's
- * log, and ndtr, bit for bit, and the random walk and lockstep passes built on
- * them. So build with -ffp-contract=off and never -ffast-math: every operation,
- * an fma() too, rounds once, as numpy, scipy and glibc round it. No state is
- * kept, so threads may share the calls. */
+ * log, and ndtr, bit for bit, and the random walk and the lockstep engine built
+ * on them, whose log and exp are numpy's own loops. So build with
+ * -ffp-contract=off and never -ffast-math: every operation, an fma() too,
+ * rounds once, as numpy, scipy and glibc round it. No state is kept, so
+ * threads may share the calls. */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -284,6 +285,15 @@ void normals(const uint64_t *keys, uint64_t seed, uint64_t lo, const uint64_t *c
     }
 }
 
+/* dst[k] = src[s k], k < m, of 8-byte values at element stride s: 1, or 0 for one for all */
+static void take(void *dst, const void *src, ptrdiff_t s, int m)
+{
+    if (s)
+        memcpy(dst, src, (size_t)m * 8);
+    for (int k = 0; !s && k < m; k++)
+        memcpy((char *)dst + 8 * k, src, 8);
+}
+
 /* n_steps random-walk steps of x, in place: in step s, x += drift, then
  * x += scale z, z the normal of stream lo + i at counter ctr + s, ctr at
  * element stride cs, 1 or 0. Each block takes all its steps in one go. */
@@ -295,8 +305,7 @@ void walk(uint64_t seed, uint64_t lo, const uint64_t *ctr, ptrdiff_t cs, double 
     for (ptrdiff_t b = 0; b < n; b += BATCH, x += BATCH) {
         int m = BLOCK(n, b);
         stream_keys(seed, lo + (uint64_t)b, NULL, keys, m);
-        for (int i = 0; i < m; i++)
-            c[i] = ctr[cs * (b + i)];
+        take(c, ctr + cs * b, cs, m);
         for (int64_t s = 0; s < n_steps; s++) {
             normals(keys, 0, 0, c, 1, z, m);
             for (int i = 0; i < m; i++) {
@@ -308,26 +317,16 @@ void walk(uint64_t seed, uint64_t lo, const uint64_t *ctr, ptrdiff_t cs, double 
 }
 
 /* A round's flights, on dtau = log(u) of the uniforms on (0, 1]: dtau
- * becomes -log(u) scale and done flags the flights that reach their
- * remaining time rem. Returns the number done. Later rounds step the
- * counters ctr; round 0 (ctr NULL) only reads its inputs, x and v among
- * them, each at its element stride, 1 or 0 for one value for all, and
- * presets out_x to where each particle's flight would finish it,
- * (v / eps) rem + x. The strides select values, not addresses, so each
- * case vectorizes. */
-ptrdiff_t flights(const double *rem, ptrdiff_t sr, double *dtau, uint64_t *ctr, _Bool *done,
-                  const double *x, ptrdiff_t sx, const double *v, ptrdiff_t sv, double *out_x,
-                  double scale, double eps, ptrdiff_t n)
+ * becomes -log(u) scale, the counters ctr step past the draw, and done flags
+ * the flights that reach their remaining time rem. Returns the number done. */
+ptrdiff_t flights(const double *rem, double *dtau, uint64_t *ctr, _Bool *done, double scale,
+                  ptrdiff_t n)
 {
     ptrdiff_t count = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
-        double r = sr ? rem[i] : rem[0];
         dtau[i] = -dtau[i] * scale;
-        if (ctr)
-            ctr[i] += 1;
-        else
-            out_x[i] = ((sv ? v[i] : v[0]) / eps) * r + (sx ? x[i] : x[0]);
-        done[i] = dtau[i] >= r;
+        ctr[i] += 1;
+        done[i] = dtau[i] >= rem[i];
         count += done[i];
     }
     return count;
@@ -439,7 +438,7 @@ void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, 
  * the order is not kept; holes are found forward with memchr, movers
  * backward. The engine's output slots are one of the columns, so each kept
  * particle carries the slot it came from. */
-ptrdiff_t compact(const _Bool *done, ptrdiff_t n, uint64_t *const *cols, int k)
+ptrdiff_t compact(const _Bool *done, ptrdiff_t n, void *const *cols, int k)
 {
     for (ptrdiff_t i = 0;; i++) {
         const _Bool *hole = memchr(done + i, 1, (size_t)(n - i));
@@ -452,6 +451,97 @@ ptrdiff_t compact(const _Bool *done, ptrdiff_t n, uint64_t *const *cols, int k)
             return n;
         n--; /* the kept particle at n fills the hole at i */
         for (int c = 0; c < k; c++)
-            cols[c][i] = cols[c][n];
+            memcpy((char *)cols[c] + 8 * i, (char *)cols[c] + 8 * n, 8);
     }
+}
+
+/* numpy's own float64 inner loop of a unary ufunc, its PyUFuncGenericFunction,
+ * and the data numpy passes it; kdmc.core takes np.log's and np.exp's */
+typedef void (*ufunc_loop)(char **args, const ptrdiff_t *n, const ptrdiff_t *steps, void *data);
+struct loop {
+    ufunc_loop fn;
+    void *data;
+};
+
+/* a[i] = f(a[i]), i < n, in place, as numpy calls f on a contiguous array */
+void numpy_loop(const struct loop *f, double *a, ptrdiff_t n)
+{
+    char *args[2] = {(char *)a, (char *)a};
+    const ptrdiff_t steps[2] = {(ptrdiff_t)sizeof *a, (ptrdiff_t)sizeof *a};
+    f->fn(args, &n, steps, f->data);
+}
+
+#define EB 256 /* particles per engine block: its columns stay in cache through all its rounds */
+
+/* The lockstep engine of core.lockstep: runs particles i < n, from streams
+ * lo + i under seed, to the end in blocks of EB, each through all its rounds
+ * on columns of its own, and returns the number of collisions. The inputs
+ * are read at element strides s.., 1 or 0 for one value for all; a NULL
+ * record is not kept. loops[0] is numpy's log, loops[1] its exp. */
+int64_t lockstep(int kind, uint64_t seed, uint64_t lo, const struct loop *loops,
+                 const struct kd *kd, const uint64_t *ctr, ptrdiff_t sc, const double *rem,
+                 ptrdiff_t sr, const double *x, ptrdiff_t sx, const double *v, ptrdiff_t sv,
+                 const int64_t *left, ptrdiff_t sl, double *out_x, double *out_v,
+                 int64_t *out_coll, double *out_first, double *out_last, double scale, double eps,
+                 double sd, double mean, ptrdiff_t n)
+{
+    /* the particles still running, with their slots in the chunk, by column */
+    uint64_t keys[EB], c[EB];
+    double dtau[EB], xs[EB], vs[EB], rs[EB], first[EB], ea[EB];
+    int64_t slot[EB], steps[EB], collisions = 0;
+    _Bool done[EB];
+    void *const cols[] = {keys, c, dtau, xs, vs, rs, first, slot, steps};
+    for (ptrdiff_t b = 0; b < n; b += EB) {
+        int m = n - b < EB ? (int)(n - b) : EB;
+        stream_keys(seed, lo + (uint64_t)b, NULL, keys, m);
+        take(c, ctr + sc * b, sc, m);
+        take(rs, rem + sr * b, sr, m);
+        take(xs, x + sx * b, sx, m);
+        take(vs, v + sv * b, sv, m);
+        if (kind == KD)
+            take(steps, left + sl * b, sl, m);
+        for (int k = 0; k < m; k++) { /* records without collisions, kept by round-0 finishers */
+            slot[k] = b + k;
+            out_x[b + k] = xs[k] + (vs[k] / eps) * rs[k];
+        }
+        if (out_v)
+            memcpy(out_v + b, vs, (size_t)m * 8);
+        if (out_coll)
+            memset(out_coll + b, 0, (size_t)m * 8);
+        if (out_first)
+            memcpy(out_first + b, rs, (size_t)m * 8);
+        if (out_last)
+            memcpy(out_last + b, rs, (size_t)m * 8);
+        for (int64_t rnd = 0;; rnd++) {
+            uniforms(keys, 0, 0, c, 1, 1.0, dtau, m);
+            numpy_loop(&loops[0], dtau, m);
+            ptrdiff_t count = flights(rs, dtau, c, done, scale, m);
+            if (!rnd) /* the first overlaps of the particles that go on */
+                memcpy(first, dtau, (size_t)m * 8);
+            collisions += rnd * count;
+            for (int k = 0; rnd && count && k < m; k++) {
+                int64_t s = slot[k];
+                if (!done[k])
+                    continue;
+                out_x[s] = xs[k] + (vs[k] / eps) * rs[k];
+                if (out_v)
+                    out_v[s] = vs[k];
+                if (out_coll)
+                    out_coll[s] = rnd;
+                if (out_first)
+                    out_first[s] = first[k];
+                if (out_last)
+                    out_last[s] = rs[k];
+            }
+            if (count == m)
+                break;
+            m = (int)compact(done, m, cols, kind == KD ? 9 : 8);
+            if (kind == KD) {
+                kd_steps(kd, dtau, steps, rs, ea, m);
+                numpy_loop(&loops[1], ea, m);
+            }
+            collide(kind, keys, c, dtau, xs, vs, rs, steps, ea, kd, eps, sd, mean, m);
+        }
+    }
+    return collisions;
 }

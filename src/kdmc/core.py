@@ -13,9 +13,11 @@ The draw arithmetic lives in `_draws.c`, compiled on first import: the
 splitmix64 stream keys and hash, the two uniform maps, ports of the cephes
 `ndtri` and `ndtr` that `scipy.special` runs, bit for bit (`ndtri`'s tails on
 an in-file port of glibc's FMA-build `log`, not the C library's; `ndtr` calls
-its `exp`), the random walk, the lockstep engine's per-round and moment kernels.
-Elsewhere `log` and `exp` are numpy's: `exponential_keyed` and the engine's
-flights take `np.log` of the C uniforms, and its KD collisions one `np.exp`.
+its `exp`), the random walk, the moment kernels and the lockstep engine, which
+runs a chunk's rounds in one call over blocks of 256 particles. Elsewhere
+`log` and `exp` are numpy's: `exponential_keyed` takes `np.log` of the C
+uniforms, and the engine calls numpy's own float64 `log` and `exp` loops from
+C, which import checks give numpy's bits.
 """
 
 from __future__ import annotations
@@ -104,16 +106,18 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
         ("stream_keys", (u, u, p, p, n), None), ("uniforms", (p, u, u, p, n, f, p, n), None),
         ("normals", (p, u, u, p, n, p, n), None), ("ndtri", (p, n), None), ("ndtr", (p, n), None),
         ("walk", (u, u, p, n, p, f, f, ctypes.c_int64, n), None),
-        ("flights", (p, n, p, p, p, p, n, p, n, p, f, f, n), n), ("compact", (p, n, p, i), n),
+        ("flights", (p, p, p, p, f, n), n), ("compact", (p, n, p, i), n),
         ("collide", (i, p, p, p, p, p, p, p, p, p, f, f, f, n), None),
         ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
+        ("numpy_loop", (p, p, n), None),
+        ("lockstep", (i, u, u, p, p, *(p, n) * 5, *(p,) * 5, f, f, f, f, n), ctypes.c_int64),
     ):
         getattr(draws, fn).argtypes, getattr(draws, fn).restype = args, res
     return draws
 
 
 _draws = _load_draws()
-KINETIC, ORACLE, KD = range(3)  # the kinds of _draws.collide
+KINETIC, ORACLE, KD = range(3)  # the collision kinds of _draws.lockstep and collide
 CHUNK = 1 << 16  # particles per chunk of map_chunked and the ensembles
 
 
@@ -297,32 +301,35 @@ class Ensemble:
     total_collisions: int = 0
 
 
-def ensemble_io(n, stream_lo, ctr0, out, dtypes, step, **columns):
+def ensemble_io(n, stream_lo, ctr0, out, dtypes, step, names=None, **columns):
     """Check the inputs of an ensemble of n particles and give it its
     outputs before any of it runs; returns (out, run).
 
     Particle i draws from stream stream_lo + i in [0, 2**64) from counter
     ctr0: None (0), one for all or one per particle, integers in [0, 2**64).
     `columns`, under `lockstep`'s names, are finite floats, one for all or
-    one per particle. out is None, for new arrays of `dtypes`, or the
-    caller's arrays in that order: each writable, contiguous and of n, or
-    None, like any entry past the end of out, for an output not recorded;
-    the first is always recorded. No two kept outputs, and no output and
-    input, may share memory: the engine reads its inputs in place while it
-    writes the outputs. Anything else raises ValueError. run(lo, hi) returns
-    step(stream_lo + lo, outputs, ctr=counters, **columns) on the chunk
-    [lo, hi); one value for all is a stride-0 np.broadcast_to view.
+    one per particle; an error names a column by the caller's argument, x0
+    for x, v0 for v, or as `names` maps it. out is None, for new arrays of
+    `dtypes`, or the caller's arrays in that order: each writable,
+    contiguous and of n, or None, like any entry past the end of out, for an
+    output not recorded; the first is always recorded. No two kept outputs,
+    and no output and input, may share memory: the engine reads its inputs
+    in place while it writes the outputs. Anything else raises ValueError.
+    run(lo, hi) returns step(stream_lo + lo, outputs, ctr=counters,
+    **columns) on the chunk [lo, hi); one value for all is a stride-0
+    np.broadcast_to view.
     """
     lo = _uint64("stream_lo", stream_lo)
     if lo.ndim or int(lo) + n > 2**64:
         raise ValueError(f"streams stream_lo + i for i < {n} must lie in [0, 2**64), "
                          f"got stream_lo = {stream_lo!r}")
+    names = {"ctr": "ctr0", "x": "x0", "v": "v0", **(names or {})}
     columns = {"ctr": _uint64("ctr0", 0 if ctr0 is None else ctr0),
-               **{name: finite(name, values) for name, values in columns.items()}}
+               **{name: finite(names.get(name, name), values) for name, values in columns.items()}}
     for name, col in columns.items():
         if col.shape not in ((), (n,)):
-            raise ValueError(f"{'ctr0' if name == 'ctr' else name} must be one value or one "
-                             f"per particle ({n}), got shape {col.shape}")
+            raise ValueError(f"{names.get(name, name)} must be one value or one per particle "
+                             f"(n = {n}), got shape {col.shape}")
     out = tuple(np.empty(n, dtype=d) for d in dtypes) if out is None else tuple(out)
     out += (None,) * (len(dtypes) - len(out))
     if len(out) != len(dtypes) or not all(
@@ -386,6 +393,39 @@ def _col(a):
     return a.ctypes.data, int(a.strides[0] != 0)
 
 
+class _UFunc(ctypes.Structure):  # the leading fields of numpy's PyUFuncObject (ufuncobject.h)
+    _fields_ = [("head", ctypes.c_void_p * 2), ("nin_nout_nargs_identity", ctypes.c_int * 4),
+                ("functions", ctypes.POINTER(ctypes.c_void_p)),
+                ("data", ctypes.POINTER(ctypes.c_void_p)), ("ntypes", ctypes.c_int)]
+
+
+def _float64_loop(ufunc):
+    """The inner loop, and its data, that numpy runs a unary ufunc with on
+    float64: its first d->d loop, a `struct loop` of `_draws.c`. Raises
+    ImportError if it has none or its fields do not read back as numpy's."""
+    u = _UFunc.from_address(id(ufunc))
+    if u.ntypes != len(ufunc.types) or "d->d" not in ufunc.types:
+        raise ImportError(f"kdmc found no float64 loop of numpy's {ufunc.__name__}")
+    k = ufunc.types.index("d->d")
+    return u.functions[k], u.data[k]
+
+
+def _numpy_loops():
+    """np.log's and np.exp's loops; raises ImportError unless, called from C
+    on unaligned lattice values, they give numpy's bits."""
+    loops = (ctypes.c_void_p * 4)(*_float64_loop(np.log), *_float64_loop(np.exp))
+    u, got = _stream_draws(_draws.uniforms, 1, 0, 0, np.empty(256), 1.0), np.empty(257)[1:]
+    for k, (ufunc, a) in enumerate(((np.log, u), (np.exp, -745.0 * u))):
+        got[:] = a
+        _draws.numpy_loop(ctypes.byref(loops, 16 * k), _addr(got), got.size)
+        if not np.array_equal(got.view(np.uint64), ufunc(a).view(np.uint64)):
+            raise ImportError(f"numpy's {ufunc.__name__} loop, called from C, changed its bits")
+    return loops
+
+
+_LOOPS = _numpy_loops()
+
+
 def lockstep(kind, params, seed, stream_lo, out, kd=None, **columns):
     """Run a particle population to the end in lockstep rounds of flights
     and collisions, and write each particle's records; returns the wall
@@ -394,100 +434,36 @@ def lockstep(kind, params, seed, stream_lo, out, kd=None, **columns):
     Particle i draws from stream stream_lo + i under seed. `columns` are
     8-byte values over the particles, as `ensemble_io` hands them to a step:
     "ctr" (next counters), "rem" (time left), "x" and "v", and for KD "left"
-    (the steps not yet started), with kd its `struct kd` constants. out
-    holds the records in `RECORDS` order; an entry that is None or past the
-    end of out is not kept, but x always is. Round 0 reads the columns at
-    their element stride, 0 for one value for all, and never writes them, so
-    they may be the caller's inputs; its uniform pass hashes each particle's
-    stream key. It presets each kept record to its value without collisions,
-    x + (v / eps) rem, v, 0, rem and rem, so a round-0 finisher costs only
-    its flight draw and is never copied. The particles still running then
-    move into contiguous arrays lockstep owns, with their stream keys (and,
-    if first_overlap is kept, their round-0 flights), which it compacts in
-    place without keeping their order. In round r every live particle draws
-    its flight dtau = (eps^2 / sigma) Exp(1) at its next counter. Time left
-    is the only exit: a particle whose flight reaches rem finishes with r
+    (the steps not yet started), with kd its `struct kd` constants. They are
+    read at their element stride, 0 for one value for all, and never
+    written, so they may be the caller's inputs. out holds the records in
+    `RECORDS` order; an entry that is None or past the end of out is not
+    kept, but x always is. In round r every particle still running draws its
+    flight dtau = (eps^2 / sigma) Exp(1) at its next counter. Time left is
+    the only exit: a particle whose flight reaches rem finishes with r
     collisions at x + (v / eps) tail, where tail = rem is its last flight,
-    and its records are x, v, r, its round-0 flight and tail. The others
-    collide in one C pass, `collide`, whose move `kind` picks: KINETIC moves
-    a particle by its flight and draws its velocity, ORACLE moves it at a
-    fresh velocity and leaves its pinned v alone, and KD, after `kd_steps`
-    and np.exp of -a into a buffer lockstep owns, also takes the Gaussian
-    substep and sets rem to the steps not yet started, so a particle past
-    its last step finishes at its next flight.
+    and its records are x, v, r, its round-0 flight's overlap with the time
+    left and tail. The others collide, in the move `kind` picks: KINETIC
+    moves a particle by its flight and draws its velocity, ORACLE moves it
+    at a fresh velocity and leaves its pinned v alone, and KD, after
+    `kd_steps`, also takes the Gaussian substep and sets rem to the steps
+    not yet started, so a particle past its last step finishes at its next
+    flight.
+
+    The engine, `_draws.lockstep`, runs the population in one C call with
+    the GIL released, in blocks of 256 particles. Each block runs all its
+    rounds on columns of its own, so a chunk allocates no work arrays. Its
+    `log` and `exp` are numpy's own float64 loops, called from C.
     """
-    out_x, out_v, out_coll, out_first, out_last = (*out, None, None, None, None)[:5]
-    eps, scale, n = params.eps, params.eps * params.eps / params.sigma, out_x.size
-    seed, live = int(np.uint64(seed)), columns
-    t_loop = time.perf_counter()
-    dtau, done_buf = np.empty(n), np.empty(n, dtype=np.bool_)
-    _draws.uniforms(None, seed, stream_lo, *_col(live["ctr"]), 1.0, _addr(dtau), n)
-    np.log(dtau, out=dtau)
-    count = _draws.flights(*_col(live["rem"]), _addr(dtau), None, _addr(done_buf),
-                           *_col(live["x"]), *_col(live["v"]), _addr(out_x), scale, eps, n)
-    for a, preset in zip((out_v, out_coll, out_first, out_last),
-                         (live["v"], 0, live["rem"], live["rem"])):
-        if a is not None:
-            a[:] = preset
-    if count == n:
-        return time.perf_counter() - t_loop, 0
-    # the particles still running, in arrays lockstep owns. A population with
-    # no round-0 finisher is copied whole, and its positions are its slots
-    # until its first compaction: index slots would gather every column and
-    # scatter every record, 10-20% of a one-step KD chunk of 50,000
-    slots = np.flatnonzero(~done_buf) if count else None
-    for name, col in live.items():
-        live[name] = col.copy() if slots is None else col[slots]
-    live["dtau"] = dtau if slots is None else dtau[slots]
-    del dtau  # round 0's n flights die here unless they are the live ones
-    if out_first is not None:
-        live["first"] = live["dtau"].copy()
-    live["ctr"] += np.uint64(1)
-    live["keys"] = np.empty(n - count, dtype=np.uint64)
-    _draws.stream_keys(seed, stream_lo, None if slots is None else slots.ctypes.data,
-                       _addr(live["keys"]), n - count)
-    ea = np.empty(n - count) if kind == KD else None  # a KD round's e^-a
-    # each round's arrays stay where they are: compaction only shortens the columns
-    ptr = {name: _addr(a) for name, a in dict(live, done=done_buf, ea=ea).items() if a is not None}
-    move = (kind, *map(ptr.get, ("keys", "ctr", "dtau", "x", "v", "rem", "left", "ea")), kd,
-            eps, math.sqrt(params.temperature), eps * params.u)
-    rnd = collisions = 0
-    while True:
-        m = live["rem"].size
-        if kind == KD:
-            _draws.kd_steps(kd, ptr["dtau"], ptr["left"], ptr["rem"], ptr["ea"], m)
-            np.exp(ea[:m], out=ea[:m])
-        _draws.collide(*move, m)
-        rnd += 1
-        dtau, done = live["dtau"], done_buf[:m]
-        _draws.uniforms(ptr["keys"], 0, 0, ptr["ctr"], 1, 1.0, ptr["dtau"], m)
-        np.log(dtau, out=dtau)
-        count = _draws.flights(ptr["rem"], 1, ptr["dtau"], ptr["ctr"], ptr["done"], None, 0,
-                               None, 0, None, scale, eps, m)
-        if not count:
-            continue
-        collisions += rnd * count
-        fin = slice(None) if count == m else np.flatnonzero(done)
-        at, tail = fin if slots is None else slots[fin], live["rem"][fin]
-        out_x[at] = live["x"][fin] + (live["v"][fin] / eps) * tail
-        if out_v is not None:
-            out_v[at] = live["v"][fin]
-        if out_coll is not None:
-            out_coll[at] = rnd
-        if out_first is not None:
-            out_first[at] = live["first"][fin]
-        if out_last is not None:
-            out_last[at] = tail
-        if count == m:
-            return time.perf_counter() - t_loop, collisions
-        if slots is None:
-            slots = np.arange(m)  # compacted with the others from here on
-        cols = [*live.values(), slots]
-        left = _draws.compact(ptr["done"], m, (ctypes.c_void_p * len(cols))(*map(_addr, cols)),
-                              len(cols))
-        for name in live:
-            live[name] = live[name][:left]
-        slots = slots[:left]
+    t_loop, n = time.perf_counter(), out[0].size
+    out = [None if a is None else _addr(a) for a in (*out, None, None, None, None)[:5]]
+    cols = [_col(columns[name]) if name in columns else (None, 0)
+            for name in ("ctr", "rem", "x", "v", "left")]
+    collisions = _draws.lockstep(
+        kind, int(np.uint64(seed)), stream_lo, _LOOPS, kd, *(a for col in cols for a in col), *out,
+        params.eps * params.eps / params.sigma, params.eps, math.sqrt(params.temperature),
+        params.eps * params.u, n)
+    return time.perf_counter() - t_loop, collisions
 
 
 def map_chunked(fn, n, threads=1, chunk=CHUNK):

@@ -12,9 +12,9 @@ move and the clock jumps to the end of the step containing the collision.
 `core.lockstep`, which writes the records x, v and collisions and runs the
 KD collision: it moves the particle by its flight, draws its new velocity,
 takes the Gaussian substep and sets the particle's time left to the steps
-it has not started, all in C but for one np.exp. A particle past its last
-step has no time left: its next flight finishes it with a tail of 0, as
-every particle leaves the engine, on a flight.
+it has not started, all in C, on numpy's own exp loop. A particle past its
+last step has no time left: its next flight finishes it with a tail of 0,
+as every particle leaves the engine, on a flight.
 `random_walk_ensemble` takes each chunk's steps in one C pass, `_draws.walk`.
 """
 
@@ -160,8 +160,8 @@ def kd_ensemble(
     def step(first, out, **columns):
         return lockstep(KD, params, seed, first, out, kd, left=left[:out[0].size], **columns)
 
-    out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS[:3], step, x=x0, v=v0,
-                           rem=n_steps * dt)
+    out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS[:3], step, {"rem": "n_steps * dt"},
+                           x=x0, v=v0, rem=n_steps * dt)
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))
 

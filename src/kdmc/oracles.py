@@ -69,8 +69,8 @@ def conditioned_increment_ensemble(
     n = len(durations) if n is None else n
     # a path's v is its pinned final velocity, which collisions leave alone
     (dx,), run = ensemble_io(n, stream_lo, ctr0, None, (np.float64,),
-                             partial(lockstep, ORACLE, params, seed), rem=durations, v=v_final,
-                             x=0.0)
+                             partial(lockstep, ORACLE, params, seed),
+                             {"rem": "durations", "v": "v_final"}, rem=durations, v=v_final, x=0.0)
     map_chunked(run, n, threads=threads, chunk=chunk)
     return dx
 

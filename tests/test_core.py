@@ -16,13 +16,11 @@ from kdmc import (
     RngStream,
     sample_maxwellian,
 )
-from kdmc import core as core_module
 from kdmc import kd as kd_module
 from kdmc import kinetic as kinetic_module
 from kdmc import oracles as oracles_module
 from kdmc.core import (
     KD,
-    _draws,
     exponential_keyed,
     lockstep,
     map_chunked,
@@ -249,7 +247,7 @@ class TestChunking:
 
 
 class TestLockstep:
-    def test_time_left_is_the_only_exit(self, monkeypatch):
+    def test_time_left_is_the_only_exit(self):
         # KD steps of dt = 1e6, far above any flight, so each collision starts
         # exactly one step: particle k, given k steps, collides k times and
         # finishes on the flight after its last step; particles 0 and 3
@@ -264,22 +262,11 @@ class TestLockstep:
         rem0[[0, 3]] = first[[0, 3]] / 2
         x0, v0 = np.arange(n) + 0.5, np.linspace(-1.0, 1.0, n)
         out_x, out_coll, out_last = np.full(n, np.nan), np.full(n, -1), np.full(n, np.nan)
-        calls = []
-
-        class Recording:
-            # the engine's C passes, recording the live count of each collision pass
-            def __getattr__(self, name):
-                return getattr(_draws, name)
-
-            def collide(self, *args):
-                calls.append(args[-1])
-                return _draws.collide(*args)
-
-        monkeypatch.setattr(core_module, "_draws", Recording())
         kd = (ctypes.c_double * 6)(*_substep_constants(p, dt))
         _, collisions = lockstep(KD, p, 3, 0, (out_x, None, out_coll, None, out_last), kd,
                                  ctr=ctr0, rem=rem0, left=left, x=x0, v=v0)
-        assert calls == [4, 3, 2, 2, 1]
+        # the particles that collide in rounds 1, 2, ...: those with that many collisions or more
+        assert [np.count_nonzero(out_coll >= r) for r in range(1, 6)] == [4, 3, 2, 2, 1]
         # each particle's round, in its own slot, and a tail of 0 after its last collision
         assert out_coll.tolist() == [0, 1, 2, 0, 4, 5] and collisions == 12
         assert out_last[[1, 2, 4, 5]].tolist() == [0.0] * 4
@@ -348,8 +335,26 @@ class TestEnsembleInputs:
         ],
     )
     def test_rejects_non_finite_states(self, name, inputs):
-        with pytest.raises(ValueError, match="must be finite"):
+        # the error names the caller's argument, not the engine's column
+        arg = {"x0": "x0", "v": "v_final" if name == "oracle" else "v0"}[next(iter(inputs))]
+        with pytest.raises(ValueError, match=f"^{arg} must be finite"):
             _ensemble(name, **inputs)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda p: kinetic_module.kinetic_ensemble(p, [0.0] * 3, [1.0] * 2, 1.0, 1),
+             r"^v0 must be one value or one per particle \(n = 3\)"),
+            (lambda p: kd_module.kd_ensemble(p, [0.0] * 3, [1.0] * 3, 1e308, 10, 1),
+             r"^n_steps \* dt must be finite"),
+            (lambda p: kd_module.random_walk_ensemble(p, [0.0, math.nan], 0.5, 2, 1),
+             r"^x0 must be finite"),
+        ],
+        ids=["kinetic", "kd", "random-walk"],
+    )
+    def test_errors_name_the_callers_arguments(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(BackgroundParams(1.0, 0.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("name", ["kinetic", "kd", "random-walk", "oracle"])
     @pytest.mark.parametrize("shape", [(1,), (5,), (3, 1)])
@@ -407,7 +412,8 @@ class TestEnsembleInputs:
 
     def test_rejects_a_path_count_that_disagrees_with_the_durations(self):
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="must be one value or one per particle"):
+        with pytest.raises(ValueError, match=r"^durations must be one value or one per particle "
+                                             r"\(n = 5\), got shape \(3,\)"):
             oracles_module.conditioned_increment_ensemble(p, np.ones(3), 0.5, n=5)
 
     @staticmethod

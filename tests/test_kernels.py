@@ -1,7 +1,8 @@
 """The lockstep engine's C kernels (flights, collide, kd_steps, compact,
 normals, ndtri and the moment kernels) against test-local copies of the
 numpy code they replaced, bit for bit, one kernel at a time and as whole
-ensembles."""
+ensembles; and numpy's own log and exp loops, which the engine calls from C,
+against np.log and np.exp."""
 
 import ctypes
 import dataclasses
@@ -15,10 +16,12 @@ from scipy.special import ndtri as scipy_ndtri
 
 from kdmc import BackgroundParams, ParticleState, RngStream
 from kdmc.core import (
+    _LOOPS,
     KD,
     KINETIC,
     ORACLE,
     _draws,
+    _float64_loop,
     exponential_keyed,
     normal_keyed,
     stream_keys,
@@ -229,22 +232,8 @@ def test_flights(n):
     scale, done = 0.37, np.empty(n, dtype=np.bool_)
     want = np.negative(lg) * scale
     live["rem"][::3] = want[::3]  # a flight that exactly reaches its remaining time is done
-    eps = 0.6
-    before = copy_of(live)
-    # round 0 reads its inputs and presets out_x; later rounds step the counters
-    out_x = np.full(n, np.nan)
-    dtau = lg.copy()
-    count = _draws.flights(addr(live["rem"]), 1, addr(dtau), None, addr(done), addr(live["x"]), 1,
-                           addr(live["v"]), 1, addr(out_x), scale, eps, n)
-    assert same_bits(dtau, want)
-    assert np.array_equal(done, want >= live["rem"]) and count == done.sum()
-    assert same_bits(out_x, (live["v"] / eps) * live["rem"] + live["x"])
-    for name in live:
-        assert same_bits(live[name], before[name]), name
-    done[:] = False
     ctr = live["ctr"].copy()
-    count = _draws.flights(addr(live["rem"]), 1, addr(lg), addr(ctr), addr(done), None, 0, None, 0,
-                           None, scale, eps, n)
+    count = _draws.flights(addr(live["rem"]), addr(lg), addr(ctr), addr(done), scale, n)
     assert same_bits(lg, want)
     assert np.array_equal(ctr, live["ctr"] + np.uint64(1))
     assert np.array_equal(done, want >= live["rem"]) and count == done.sum()
@@ -416,6 +405,30 @@ def test_compact(mask, n):
     # count stays where it was
     stay = keep[keep < left]
     assert np.array_equal(slots[stay], stay)
+
+
+# the engine's log and exp: numpy's own float64 loops, called from C on
+# blocks of up to 256 values, wherever a block starts
+LATTICE = np.concatenate([[2.0**-53, 1.0 - 2.0**-53, 1.0], np.arange(1, 4002) * 2.0**-12])
+NEGA = -np.concatenate([[0.0, 5e-324, A_SMALL, 745.0, 746.0], np.logspace(-20, 3, 3997)])
+
+
+@pytest.mark.parametrize("offset", range(8))
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 4001])
+@pytest.mark.parametrize("k,ufunc,values", [(0, np.log, LATTICE), (1, np.exp, NEGA)],
+                         ids=["log", "exp"])
+def test_numpy_loops_from_c_give_numpy_bits(k, ufunc, values, n, offset):
+    values = np.random.default_rng(n).permutation(values)[:n]
+    a = np.empty(n + 8)[offset:offset + n]
+    a[:] = values
+    _draws.numpy_loop(ctypes.byref(_LOOPS, 16 * k), addr(a), n)  # loops[k], two pointers each
+    assert same_bits(a, ufunc(values))
+
+
+@pytest.mark.parametrize("ufunc", [np.invert, np.isnan, np.add], ids=lambda f: f.__name__)
+def test_only_a_float64_loop_is_taken(ufunc):
+    with pytest.raises(ImportError, match="no float64 loop"):
+        _float64_loop(ufunc)
 
 
 class TestNdtriBlocks:
