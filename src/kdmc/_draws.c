@@ -27,21 +27,21 @@ static inline uint64_t key(uint64_t seed, uint64_t stream)
     return mix(seed ^ mix(stream + PHI));
 }
 
-/* the keys of streams lo + stream[i], or lo + i with no stream ids */
+/* the keys of streams stream[i], or lo + i with no stream ids */
 void stream_keys(uint64_t seed, uint64_t lo, const uint64_t *stream, uint64_t *out, ptrdiff_t n)
 {
     for (ptrdiff_t i = 0; i < n; i++)
-        out[i] = key(seed, lo + (stream ? stream[i] : (uint64_t)i));
+        out[i] = key(seed, stream ? stream[i] : lo + (uint64_t)i);
 }
 
-/* ((mix(key + (counter + 1) phi) >> 11) + offset) 2^-53, at element
- * stride cs of the counters: 1, or 0 for one counter for all. With no
- * keys, particle i's key is hashed here, from stream lo + i. */
-void uniforms(const uint64_t *keys, uint64_t seed, uint64_t lo, const uint64_t *ctr, ptrdiff_t cs,
-              double offset, double *out, ptrdiff_t n)
+/* ((mix(key + (counter + 1) phi) >> 11) + offset) 2^-53: keyed, key i at
+ * counter ctr[i], or with no keys stream draws, particle i's key hashed
+ * here from stream lo + i, all at the one counter ctr[0]. */
+void uniforms(const uint64_t *keys, uint64_t seed, uint64_t lo, const uint64_t *ctr, double offset,
+              double *out, ptrdiff_t n)
 {
     for (ptrdiff_t i = 0; i < n; i++) {
-        uint64_t k = keys ? keys[i] : key(seed, lo + (uint64_t)i), c = cs ? ctr[i] : ctr[0];
+        uint64_t k = keys ? keys[i] : key(seed, lo + (uint64_t)i), c = keys ? ctr[i] : ctr[0];
         out[i] = ((double)(mix(k + (c + 1) * PHI) >> 11) + offset) * 0x1p-53;
     }
 }
@@ -274,13 +274,13 @@ void ndtr(double *a, ptrdiff_t n)
     }
 }
 
-/* the standard normals ndtri(u) of the uniforms on (0, 1), keyed as uniforms' are */
-void normals(const uint64_t *keys, uint64_t seed, uint64_t lo, const uint64_t *ctr, ptrdiff_t cs,
-             double *out, ptrdiff_t n)
+/* the standard normals ndtri(u) of the uniforms on (0, 1), drawn as uniforms' are */
+void normals(const uint64_t *keys, uint64_t seed, uint64_t lo, const uint64_t *ctr, double *out,
+             ptrdiff_t n)
 {
     for (ptrdiff_t b = 0; b < n; b += BATCH) {
-        uniforms(keys ? keys + b : NULL, seed, lo + (uint64_t)b, ctr + (cs ? b : 0), cs, 0.5,
-                 out + b, BLOCK(n, b));
+        uniforms(keys ? keys + b : NULL, seed, lo + (uint64_t)b, keys ? ctr + b : ctr, 0.5, out + b,
+                 BLOCK(n, b));
         ndtri_block(out + b, BLOCK(n, b));
     }
 }
@@ -307,7 +307,7 @@ void walk(uint64_t seed, uint64_t lo, const uint64_t *ctr, ptrdiff_t cs, double 
         stream_keys(seed, lo + (uint64_t)b, NULL, keys, m);
         take(c, ctr + cs * b, cs, m);
         for (int64_t s = 0; s < n_steps; s++) {
-            normals(keys, 0, 0, c, 1, z, m);
+            normals(keys, 0, 0, c, z, m);
             for (int i = 0; i < m; i++) {
                 x[i] = (x[i] + drift) + z[i] * scale;
                 c[i] += 1;
@@ -405,7 +405,7 @@ void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, 
     const struct kd c = kind == KD ? *kd : (struct kd){0};
     for (ptrdiff_t lo = 0; lo < n; lo += BATCH) {
         int m = BLOCK(n, lo);
-        normals(keys + lo, 0, 0, ctr + lo, 1, z, m);
+        normals(keys + lo, 0, 0, ctr + lo, z, m);
         for (ptrdiff_t i = lo; i < lo + m; i++) {
             if (kind == ORACLE) {
                 x[i] += ((z[i - lo] * sd + mean) / eps) * dtau[i];
@@ -419,7 +419,7 @@ void collide(int kind, const uint64_t *keys, uint64_t *ctr, const double *dtau, 
         }
         if (kind != KD)
             continue;
-        normals(keys + lo, 0, 0, ctr + lo, 1, z, m);
+        normals(keys + lo, 0, 0, ctr + lo, z, m);
         for (ptrdiff_t i = lo; i < lo + m; i++) {
             double k[4], drift = v[i] / eps - c.u;
             kernel(c.sigma * rem[i] / c.eps2, ea[i], k, 1);
@@ -475,15 +475,15 @@ void numpy_loop(const struct loop *f, double *a, ptrdiff_t n)
 
 /* The lockstep engine of core.lockstep: runs particles i < n, from streams
  * lo + i under seed, to the end in blocks of EB, each through all its rounds
- * on columns of its own, and returns the number of collisions. The inputs
- * are read at element strides s.., 1 or 0 for one value for all; a NULL
- * record is not kept. loops[0] is numpy's log, loops[1] its exp. */
+ * on columns of its own, and returns the number of collisions. The inputs are
+ * read at element strides s.., 1 or 0 for one value for all; KD particles
+ * start with n_steps steps. x is always recorded, v with the collisions and the
+ * first with the last overlap or neither (NULL). loops: numpy's log, then exp. */
 int64_t lockstep(int kind, uint64_t seed, uint64_t lo, const struct loop *loops,
-                 const struct kd *kd, const uint64_t *ctr, ptrdiff_t sc, const double *rem,
-                 ptrdiff_t sr, const double *x, ptrdiff_t sx, const double *v, ptrdiff_t sv,
-                 const int64_t *left, ptrdiff_t sl, double *out_x, double *out_v,
-                 int64_t *out_coll, double *out_first, double *out_last, double scale, double eps,
-                 double sd, double mean, ptrdiff_t n)
+                 const struct kd *kd, int64_t n_steps, const uint64_t *ctr, ptrdiff_t sc,
+                 const double *rem, ptrdiff_t sr, const double *x, ptrdiff_t sx, const double *v,
+                 ptrdiff_t sv, double *out_x, double *out_v, int64_t *out_coll, double *out_first,
+                 double *out_last, double scale, double eps, double sd, double mean, ptrdiff_t n)
 {
     /* the particles still running, with their slots in the chunk, by column */
     uint64_t keys[EB], c[EB];
@@ -498,22 +498,21 @@ int64_t lockstep(int kind, uint64_t seed, uint64_t lo, const struct loop *loops,
         take(rs, rem + sr * b, sr, m);
         take(xs, x + sx * b, sx, m);
         take(vs, v + sv * b, sv, m);
-        if (kind == KD)
-            take(steps, left + sl * b, sl, m);
         for (int k = 0; k < m; k++) { /* records without collisions, kept by round-0 finishers */
             slot[k] = b + k;
+            steps[k] = n_steps;
             out_x[b + k] = xs[k] + (vs[k] / eps) * rs[k];
         }
-        if (out_v)
+        if (out_v) {
             memcpy(out_v + b, vs, (size_t)m * 8);
-        if (out_coll)
             memset(out_coll + b, 0, (size_t)m * 8);
-        if (out_first)
+        }
+        if (out_first) {
             memcpy(out_first + b, rs, (size_t)m * 8);
-        if (out_last)
             memcpy(out_last + b, rs, (size_t)m * 8);
+        }
         for (int64_t rnd = 0;; rnd++) {
-            uniforms(keys, 0, 0, c, 1, 1.0, dtau, m);
+            uniforms(keys, 0, 0, c, 1.0, dtau, m);
             numpy_loop(&loops[0], dtau, m);
             ptrdiff_t count = flights(rs, dtau, c, done, scale, m);
             if (!rnd) /* the first overlaps of the particles that go on */
@@ -524,14 +523,14 @@ int64_t lockstep(int kind, uint64_t seed, uint64_t lo, const struct loop *loops,
                 if (!done[k])
                     continue;
                 out_x[s] = xs[k] + (vs[k] / eps) * rs[k];
-                if (out_v)
+                if (out_v) {
                     out_v[s] = vs[k];
-                if (out_coll)
                     out_coll[s] = rnd;
-                if (out_first)
+                }
+                if (out_first) {
                     out_first[s] = first[k];
-                if (out_last)
                     out_last[s] = rs[k];
+                }
             }
             if (count == m)
                 break;

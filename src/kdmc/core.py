@@ -101,16 +101,16 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
         _build(src, flags, lib)
     draws = ctypes.CDLL(lib)  # its calls release the GIL
     p, n, f, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
-    u = ctypes.c_uint64
+    u, q = ctypes.c_uint64, ctypes.c_int64
     for fn, args, res in (
-        ("stream_keys", (u, u, p, p, n), None), ("uniforms", (p, u, u, p, n, f, p, n), None),
-        ("normals", (p, u, u, p, n, p, n), None), ("ndtri", (p, n), None), ("ndtr", (p, n), None),
-        ("walk", (u, u, p, n, p, f, f, ctypes.c_int64, n), None),
+        ("stream_keys", (u, u, p, p, n), None), ("uniforms", (p, u, u, p, f, p, n), None),
+        ("normals", (p, u, u, p, p, n), None), ("ndtri", (p, n), None), ("ndtr", (p, n), None),
+        ("walk", (u, u, p, n, p, f, f, q, n), None),
         ("flights", (p, p, p, p, f, n), n), ("compact", (p, n, p, i), n),
         ("collide", (i, p, p, p, p, p, p, p, p, p, f, f, f, n), None),
         ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
         ("numpy_loop", (p, p, n), None),
-        ("lockstep", (i, u, u, p, p, *(p, n) * 5, *(p,) * 5, f, f, f, f, n), ctypes.c_int64),
+        ("lockstep", (i, u, u, p, p, q, *(p, n) * 4, *(p,) * 5, f, f, f, f, n), q),
     ):
         getattr(draws, fn).argtypes, getattr(draws, fn).restype = args, res
     return draws
@@ -128,7 +128,7 @@ def stream_keys(seed, stream):
     stream = np.asarray(stream, dtype=np.uint64)
     s = np.ascontiguousarray(stream.reshape(-1))
     keys = np.empty_like(s)
-    _draws.stream_keys(int(np.uint64(seed)), 0, s.ctypes.data, keys.ctypes.data, keys.size)
+    _draws.stream_keys(_seed(seed), 0, s.ctypes.data, keys.ctypes.data, keys.size)
     return keys[0] if stream.ndim == 0 else keys.reshape(stream.shape)
 
 
@@ -140,14 +140,13 @@ def _keyed(fn, keys, counter, *args):
     out = np.empty(np.broadcast_shapes(keys.shape, counter.shape) or (1,))
     k, c = (np.ascontiguousarray(a if a.shape == out.shape else np.broadcast_to(a, out.shape))
             for a in (keys, counter))
-    fn(k.ctypes.data, 0, 0, c.ctypes.data, 1, *args, out.ctypes.data, out.size)
+    fn(k.ctypes.data, 0, 0, c.ctypes.data, *args, out.ctypes.data, out.size)
     return out
 
 
 def _stream_draws(fn, seed, lo, counter, out, *offset):
     # _draws.uniforms (given its offset) or normals into out, streams lo + i at one counter
-    fn(None, int(np.uint64(seed)), lo, ctypes.byref(ctypes.c_uint64(counter)), 0, *offset,
-       _addr(out), out.size)
+    fn(None, _seed(seed), lo, ctypes.byref(ctypes.c_uint64(counter)), *offset, _addr(out), out.size)
     return out
 
 
@@ -280,6 +279,14 @@ def _uint64(name, values):
     return np.require(values, np.uint64, "C")
 
 
+def _seed(seed):
+    # seed as an int, checked as _uint64 checks counters
+    value = _uint64("seed", seed)
+    if value.ndim:
+        raise ValueError(f"seed must be one integer, got {seed!r}")
+    return int(value)
+
+
 RECORDS = (np.float64, np.float64, np.int64, np.float64, np.float64)  # Ensemble's 5 dtypes
 
 
@@ -287,10 +294,10 @@ RECORDS = (np.float64, np.float64, np.int64, np.float64, np.float64)  # Ensemble
 class Ensemble:
     """Per-particle records of n particles: final position and velocity,
     collisions, and the first and last flight overlaps with the time left
-    (both all of it without a collision); None for a record not kept (see
-    `lockstep`). loop_seconds sums the wall time of the stepping loops alone
-    (setup, allocation, and summary excluded); total_collisions needs no
-    record."""
+    (both all of it without a collision). A driver given out=(x,) keeps x
+    alone, and KD keeps no overlaps; a record not kept is None.
+    loop_seconds sums the wall time of the stepping loops alone (setup,
+    allocation, and summary excluded); total_collisions needs no record."""
 
     x: np.ndarray
     v: np.ndarray | None = None
@@ -310,14 +317,13 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, step, names=None, **columns):
     `columns`, under `lockstep`'s names, are finite floats, one for all or
     one per particle; an error names a column by the caller's argument, x0
     for x, v0 for v, or as `names` maps it. out is None, for new arrays of
-    `dtypes`, or the caller's arrays in that order: each writable,
-    contiguous and of n, or None, like any entry past the end of out, for an
-    output not recorded; the first is always recorded. No two kept outputs,
-    and no output and input, may share memory: the engine reads its inputs
-    in place while it writes the outputs. Anything else raises ValueError.
-    run(lo, hi) returns step(stream_lo + lo, outputs, ctr=counters,
-    **columns) on the chunk [lo, hi); one value for all is a stride-0
-    np.broadcast_to view.
+    `dtypes`, or the caller's arrays in that order, for the first output
+    alone or for all of them: each writable, contiguous and of n. No two
+    outputs, and no output and input, may share memory: the engine reads
+    its inputs in place while it writes the outputs. Anything else raises
+    ValueError. run(lo, hi) returns step(stream_lo + lo, outputs,
+    ctr=counters, **columns) on the chunk [lo, hi); one value for all is a
+    stride-0 np.broadcast_to view.
     """
     lo = _uint64("stream_lo", stream_lo)
     if lo.ndim or int(lo) + n > 2**64:
@@ -331,23 +337,20 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, step, names=None, **columns):
             raise ValueError(f"{names.get(name, name)} must be one value or one per particle "
                              f"(n = {n}), got shape {col.shape}")
     out = tuple(np.empty(n, dtype=d) for d in dtypes) if out is None else tuple(out)
-    out += (None,) * (len(dtypes) - len(out))
-    if len(out) != len(dtypes) or not all(
+    if len(out) not in (1, len(dtypes)) or not all(
             isinstance(a, np.ndarray) and a.dtype == d and a.shape == (n,)
-            and a.flags.c_contiguous and a.flags.writeable
-            for k, (a, d) in enumerate(zip(out, dtypes)) if a is not None or not k):
-        raise ValueError(f"out must hold at most {len(dtypes)} entries, the first an array, "
-                         f"the others arrays or None; each array writable, contiguous, of {n} "
-                         f"and of dtype {[np.dtype(d).name for d in dtypes]}")
-    kept = [a for a in out if a is not None]
-    if any(np.shares_memory(a, b) for k, a in enumerate(kept)
-           for b in (*kept[k + 1:], *columns.values())):
+            and a.flags.c_contiguous and a.flags.writeable for a, d in zip(out, dtypes)):
+        raise ValueError(f"out must hold the first record alone or all {len(dtypes)}: arrays, "
+                         f"each writable, contiguous, of {n} and of dtype "
+                         f"{[np.dtype(d).name for d in dtypes]}")
+    if any(np.shares_memory(a, b) for k, a in enumerate(out)
+           for b in (*out[k + 1:], *columns.values())):
         raise ValueError("out arrays must share no memory with each other or with the inputs")
     columns = {name: np.broadcast_to(col, (n,)) if col.ndim == 0 else col
                for name, col in columns.items()}
 
     def run(a, b):
-        return step(int(lo) + a, [o if o is None else o[a:b] for o in out],
+        return step(int(lo) + a, [o[a:b] for o in out],
                     **{name: col[a:b] for name, col in columns.items()})
 
     return out, run
@@ -378,8 +381,8 @@ def whole_steps(dt, n_steps):
     """Check the step grid of a stepping ensemble; returns n_steps as int."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not 1 <= n_steps < math.inf or int(n_steps) != n_steps:
-        raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
+    if not 1 <= n_steps < 2**63 or int(n_steps) != n_steps:
+        raise ValueError(f"n_steps must be a positive integer below 2**63, got {n_steps}")
     return int(n_steps)
 
 
@@ -426,29 +429,28 @@ def _numpy_loops():
 _LOOPS = _numpy_loops()
 
 
-def lockstep(kind, params, seed, stream_lo, out, kd=None, **columns):
+def lockstep(kind, params, seed, stream_lo, out, kd=None, n_steps=0, *, ctr, rem, x, v):
     """Run a particle population to the end in lockstep rounds of flights
     and collisions, and write each particle's records; returns the wall
     seconds of the rounds and the number of collisions.
 
-    Particle i draws from stream stream_lo + i under seed. `columns` are
-    8-byte values over the particles, as `ensemble_io` hands them to a step:
-    "ctr" (next counters), "rem" (time left), "x" and "v", and for KD "left"
-    (the steps not yet started), with kd its `struct kd` constants. They are
-    read at their element stride, 0 for one value for all, and never
-    written, so they may be the caller's inputs. out holds the records in
-    `RECORDS` order; an entry that is None or past the end of out is not
-    kept, but x always is. In round r every particle still running draws its
-    flight dtau = (eps^2 / sigma) Exp(1) at its next counter. Time left is
-    the only exit: a particle whose flight reaches rem finishes with r
-    collisions at x + (v / eps) tail, where tail = rem is its last flight,
-    and its records are x, v, r, its round-0 flight's overlap with the time
-    left and tail. The others collide, in the move `kind` picks: KINETIC
-    moves a particle by its flight and draws its velocity, ORACLE moves it
-    at a fresh velocity and leaves its pinned v alone, and KD, after
-    `kd_steps`, also takes the Gaussian substep and sets rem to the steps
-    not yet started, so a particle past its last step finishes at its next
-    flight.
+    Particle i draws from stream stream_lo + i under seed, an int. The
+    columns ctr (next counters), rem (time left), x and v are 8-byte values
+    over the particles, as `ensemble_io` hands them to a step. They are read
+    at their element stride, 0 for one value for all, and never written, so
+    they may be the caller's inputs. For KD, kd holds its `struct kd`
+    constants, and every particle starts with n_steps steps not yet started.
+    out holds the records in `RECORDS` order: x alone, x, v and collisions,
+    or all five. In round r every particle still running draws its flight
+    dtau = (eps^2 / sigma) Exp(1) at its next counter. Time left is the only
+    exit: a particle whose flight reaches rem finishes with r collisions at
+    x + (v / eps) tail, where tail = rem is its last flight, and its records
+    are x, v, r, its round-0 flight's overlap with the time left and tail.
+    The others collide, in the move `kind` picks: KINETIC moves a particle
+    by its flight and draws its velocity, ORACLE moves it at a fresh
+    velocity and leaves its pinned v alone, and KD, after `kd_steps`, also
+    takes the Gaussian substep and sets rem to the steps not yet started,
+    so a particle past its last step finishes at its next flight.
 
     The engine, `_draws.lockstep`, runs the population in one C call with
     the GIL released, in blocks of 256 particles. Each block runs all its
@@ -456,13 +458,11 @@ def lockstep(kind, params, seed, stream_lo, out, kd=None, **columns):
     `log` and `exp` are numpy's own float64 loops, called from C.
     """
     t_loop, n = time.perf_counter(), out[0].size
-    out = [None if a is None else _addr(a) for a in (*out, None, None, None, None)[:5]]
-    cols = [_col(columns[name]) if name in columns else (None, 0)
-            for name in ("ctr", "rem", "x", "v", "left")]
+    records = [_addr(a) for a in out] + [None] * (len(RECORDS) - len(out))
     collisions = _draws.lockstep(
-        kind, int(np.uint64(seed)), stream_lo, _LOOPS, kd, *(a for col in cols for a in col), *out,
-        params.eps * params.eps / params.sigma, params.eps, math.sqrt(params.temperature),
-        params.eps * params.u, n)
+        kind, seed, stream_lo, _LOOPS, kd, n_steps, *_col(ctr), *_col(rem), *_col(x), *_col(v),
+        *records, params.eps * params.eps / params.sigma, params.eps,
+        math.sqrt(params.temperature), params.eps * params.u, n)
     return time.perf_counter() - t_loop, collisions
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .core import (
     _addr,
     _col,
     _draws,
+    _seed,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.exponential_keyed
     lockstep,
@@ -149,19 +151,15 @@ def kd_ensemble(
     Same stream/counter discipline as kinetic_ensemble: particle i draws
     from stream stream_lo + i starting at ctr0[i]. On the no-collision
     event the draw sequence and position arithmetic coincide with
-    kinetic_ensemble bit for bit. out is as in kinetic_ensemble, for the
-    records x, v and collisions (int64); the overlaps are None.
+    kinetic_ensemble bit for bit. out is as in kinetic_ensemble: (x,), or
+    the records x, v and collisions (int64); the overlaps are None.
     """
     n_steps = whole_steps(dt, n_steps)
     n = len(x0)
     kd = (ctypes.c_double * 6)(*_substep_constants(params, dt))
-    left = np.broadcast_to(np.int64(n_steps), (n,))  # the steps not yet started
-
-    def step(first, out, **columns):
-        return lockstep(KD, params, seed, first, out, kd, left=left[:out[0].size], **columns)
-
-    out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS[:3], step, {"rem": "n_steps * dt"},
-                           x=x0, v=v0, rem=n_steps * dt)
+    out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS[:3],
+                           partial(lockstep, KD, params, _seed(seed), kd=kd, n_steps=n_steps),
+                           {"rem": "n_steps * dt"}, x=x0, v=v0, rem=n_steps * dt)
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))
 
@@ -178,15 +176,14 @@ def random_walk_ensemble(
     chunk=CHUNK,
 ):
     """Advance n particles over n_steps random-walk steps; returns positions."""
-    n_steps = whole_steps(dt, n_steps)
+    n_steps, seed = whole_steps(dt, n_steps), _seed(seed)
     n = len(x0)
     drift = params.u * dt
     scale = math.sqrt(2.0 * (params.temperature / params.sigma) * dt)
 
     def walk(first, out, ctr, x):
         out[0][:] = x  # then steps the output in place
-        _draws.walk(int(np.uint64(seed)), first, *_col(ctr), _addr(out[0]), drift, scale, n_steps,
-                    ctr.size)
+        _draws.walk(seed, first, *_col(ctr), _addr(out[0]), drift, scale, n_steps, ctr.size)
 
     (positions,), run = ensemble_io(n, stream_lo, ctr0, None, (np.float64,), walk, x=x0)
     map_chunked(run, n, threads=threads, chunk=chunk)

@@ -18,6 +18,7 @@ from .core import (
     RECORDS,
     Ensemble,
     ParticleState,
+    _seed,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.exponential_keyed
     lockstep,
@@ -95,14 +96,14 @@ def kinetic_ensemble(
     Particle i draws from stream stream_lo + i starting at counter ctr0[i];
     identical inputs give bit-identical output at any thread count. out, if
     given, holds arrays for the records x, v, collisions (int64),
-    first_overlap and last_overlap, in that order, written in place and
-    sharing no memory with the inputs or each other; a record whose entry
-    is None or past the end of out is not kept, but x always is.
+    first_overlap and last_overlap, in that order, or (x,) alone, whose
+    other records are then None; written in place and sharing no memory.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
     n = len(x0)
     out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS,
-                           partial(lockstep, KINETIC, params, seed), x=x0, v=v0, rem=duration)
+                           partial(lockstep, KINETIC, params, _seed(seed)),
+                           x=x0, v=v0, rem=duration)
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))

@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     CHUNK,
     ORACLE,
+    _seed,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.exponential_keyed
     lockstep,
@@ -69,7 +70,7 @@ def conditioned_increment_ensemble(
     n = len(durations) if n is None else n
     # a path's v is its pinned final velocity, which collisions leave alone
     (dx,), run = ensemble_io(n, stream_lo, ctr0, None, (np.float64,),
-                             partial(lockstep, ORACLE, params, seed),
+                             partial(lockstep, ORACLE, params, _seed(seed)),
                              {"rem": "durations", "v": "v_final"}, rem=durations, v=v_final, x=0.0)
     map_chunked(run, n, threads=threads, chunk=chunk)
     return dx

@@ -21,6 +21,7 @@ from kdmc import kinetic as kinetic_module
 from kdmc import oracles as oracles_module
 from kdmc.core import (
     KD,
+    RECORDS,
     exponential_keyed,
     lockstep,
     map_chunked,
@@ -178,6 +179,15 @@ class TestKeyedDraws:
         assert np.array_equal(uniform_open_closed(5, streams, ctr), want)
         assert uniform_open_closed(5, 7, 3) == reference_uniforms(5, 7, 3, 1.0)[0]
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, [1, 2]],
+                             ids=["float", "negative", "past-2**64", "list"])
+    def test_stream_keys_check_the_seed(self, seed):
+        # as the ensembles do; the top seed is taken exactly, whatever its type
+        with pytest.raises(ValueError, match="^seed must"):
+            stream_keys(seed, 0)
+        want = _mix((2**64 - 1) ^ _mix(7 + _PHI))
+        assert stream_keys(2**64 - 1, 7) == stream_keys(np.uint64(2**64 - 1), 7) == want
+
 
 class TestSampling:
     def test_maxwellian_pinned_draws(self):
@@ -249,22 +259,25 @@ class TestChunking:
 class TestLockstep:
     def test_time_left_is_the_only_exit(self):
         # KD steps of dt = 1e6, far above any flight, so each collision starts
-        # exactly one step: particle k, given k steps, collides k times and
-        # finishes on the flight after its last step; particles 0 and 3
-        # finish on their round-0 flights
+        # exactly one step: particle k, run alone with k steps, collides k
+        # times and finishes on the flight after its last step; particles 0
+        # and 3 finish on their round-0 flights
         n, dt = 6, 1e6
         p = BackgroundParams(2.0, 0.0, 1.0, 0.5)  # flights of (eps^2 / sigma) Exp(1)
         keys = stream_keys(3, np.arange(n, dtype=np.uint64))
         ctr0 = np.arange(n, dtype=np.uint64) * np.uint64(7)
         first = exponential_keyed(keys, ctr0) * (p.eps * p.eps / p.sigma)
-        left = np.arange(n)
-        rem0 = left * dt
+        rem0 = np.arange(n) * dt
         rem0[[0, 3]] = first[[0, 3]] / 2
         x0, v0 = np.arange(n) + 0.5, np.linspace(-1.0, 1.0, n)
         out_x, out_coll, out_last = np.full(n, np.nan), np.full(n, -1), np.full(n, np.nan)
         kd = (ctypes.c_double * 6)(*_substep_constants(p, dt))
-        _, collisions = lockstep(KD, p, 3, 0, (out_x, None, out_coll, None, out_last), kd,
-                                 ctr=ctr0, rem=rem0, left=left, x=x0, v=v0)
+        collisions = 0
+        for k in range(n):
+            one = slice(k, k + 1)
+            records = (out_x[one], np.empty(1), out_coll[one], np.empty(1), out_last[one])
+            collisions += lockstep(KD, p, 3, k, records, kd, k, ctr=ctr0[one], rem=rem0[one],
+                                   x=x0[one], v=v0[one])[1]
         # the particles that collide in rounds 1, 2, ...: those with that many collisions or more
         assert [np.count_nonzero(out_coll >= r) for r in range(1, 6)] == [4, 3, 2, 2, 1]
         # each particle's round, in its own slot, and a tail of 0 after its last collision
@@ -298,10 +311,10 @@ class TestStepGrid:
             step_count(span, dt)
 
 
-def _ensemble(name, x0=(0.0, 0.0, 0.0), v=(1.0, 1.0, 1.0), ctr0=None, stream_lo=0, **out):
+def _ensemble(name, x0=(0.0, 0.0, 0.0), v=(1.0, 1.0, 1.0), ctr0=None, stream_lo=0, seed=1, **out):
     # three particles; v is v0, or v_final for the oracle; out= for kinetic and KD
     p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-    window = dict(seed=1, stream_lo=stream_lo, ctr0=ctr0, **out)
+    window = dict(seed=seed, stream_lo=stream_lo, ctr0=ctr0, **out)
     if name == "kinetic":
         return kinetic_module.kinetic_ensemble(p, x0, v, 1.0, **window)
     if name == "kd":
@@ -390,25 +403,47 @@ class TestEnsembleInputs:
         ids=["none", "float32", "other-length", "strided", "list", "read-only"],
     )
     def test_rejects_positions_it_cannot_write(self, name, positions):
-        records = {"kinetic": 5, "kd": 3}[name]
-        with pytest.raises(ValueError, match="out must hold"):
-            _ensemble(name, out=(positions,) + (None,) * (records - 1))
+        # alone or with every other record
+        for out in ((positions,), (positions, *_records(name)[1:])):
+            with pytest.raises(ValueError, match="out must hold"):
+                _ensemble(name, out=out)
 
     @pytest.mark.parametrize("name", ["kinetic", "kd"])
     def test_rejects_out_longer_than_the_records(self, name):
-        records = {"kinetic": 5, "kd": 3}[name]
         with pytest.raises(ValueError, match="out must hold"):
-            _ensemble(name, out=(np.empty(3),) + (None,) * records)
+            _ensemble(name, out=(*_records(name), np.empty(3)))
+
+    @pytest.mark.parametrize("name", ["kinetic", "kd"])
+    def test_rejects_out_of_some_records(self, name):
+        # x alone or every record: no shorter out, and no entry None
+        records = _records(name)
+        for k in range(2, len(records)):
+            with pytest.raises(ValueError, match="out must hold"):
+                _ensemble(name, out=records[:k])
+        for k in range(len(records)):
+            with pytest.raises(ValueError, match="out must hold"):
+                _ensemble(name, out=[*records[:k], None, *records[k + 1:]])
 
     @pytest.mark.parametrize("name", ["kinetic", "kd"])
     @pytest.mark.parametrize("alias", ["x0", "v0", "twice", "x0-offset", "ctr0"])
     def test_rejects_out_sharing_memory(self, name, alias):
         # the engine reads its inputs in place while it writes the records
-        buf, v, ctr0, a = np.zeros(4), np.ones(3), np.zeros(3, dtype=np.uint64), np.empty(3)
-        out = {"x0": (buf[:3],), "v0": (v,), "twice": (a, a), "x0-offset": (buf[1:],),
-               "ctr0": (a, None, ctr0.view(np.int64))}[alias]
+        buf, v, ctr0, records = np.zeros(4), np.ones(3), np.zeros(3, dtype=np.uint64), _records(name)
+        out = {"x0": (buf[:3],), "v0": (v,), "twice": (records[0], records[0], *records[2:]),
+               "x0-offset": (buf[1:],),
+               "ctr0": (*records[:2], ctr0.view(np.int64), *records[3:])}[alias]
         with pytest.raises(ValueError, match="share no memory"):
             _ensemble(name, x0=buf[:3], v=v, ctr0=ctr0, out=out)
+
+    @pytest.mark.parametrize("name", ["kinetic", "kd", "random-walk", "oracle"])
+    @pytest.mark.parametrize(
+        "seed", [1.5, np.float64(1.0), "1", True, -1, np.int64(-1), 2**64, [1, 2]],
+        ids=["float", "float64", "string", "bool", "negative", "negative-int64", "past-2**64",
+             "list"])
+    def test_rejects_seeds_that_are_not_uint64(self, name, seed):
+        # a seed is checked as a counter is: 1.5 does not run as seed 1
+        with pytest.raises(ValueError, match="^seed must"):
+            _ensemble(name, seed=seed)
 
     def test_rejects_a_path_count_that_disagrees_with_the_durations(self):
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
@@ -435,6 +470,11 @@ class TestEnsembleInputs:
         # numpy makes such lists float64, which rounds 2**64 - 1
         _, ctr = self._chunk(2, 0, ctr0)
         assert ctr.dtype == np.uint64 and ctr.tolist() == ctr0
+
+
+def _records(name):
+    # one array for each record the driver keeps, for three particles
+    return [np.empty(3, dtype=d) for d in RECORDS[:{"kinetic": 5, "kd": 3}[name]]]
 
 
 def test_every_export_resolves():

@@ -155,8 +155,8 @@ def lib_draws(lib, seed, streams, counters):
     out = {"keys": keys}
     for offset in (0.5, 1.0):
         out[offset] = np.empty(n)
-        lib.uniforms(keys.ctypes.data, 0, 0, counters.ctypes.data, 1, offset,
-                     out[offset].ctypes.data, n)
+        lib.uniforms(keys.ctypes.data, 0, 0, counters.ctypes.data, offset, out[offset].ctypes.data,
+                     n)
     out["normal"] = c_ndtri(out[0.5], lib)
     out["ndtr"] = c_ndtr(6.0 * out["normal"], lib)  # |a| up to about 55: every branch
     return out
@@ -181,6 +181,55 @@ def test_unoptimised_build_matches(tmp_path):
     assert same_bits(uniform_open_closed(19, streams, counters), want[1.0])
     assert same_bits(core.ndtr(6.0 * want["normal"]), want["ndtr"])
     assert same_bits(want["ndtr"], scipy_ndtr(6.0 * want["normal"]))
+
+
+# the four ensembles' records, from the cached build, then from the build
+# swapped in as kdmc.core._draws and kdmc.kd._draws; a sanitizer report aborts
+ENGINE_RUNS = """
+import sys
+from kdmc import core, kd
+from kdmc.kd import kd_ensemble, random_walk_ensemble
+from kdmc.kinetic import kinetic_ensemble
+from kdmc.oracles import conditioned_increment_ensemble
+from conftest import ROUND_ZERO_POPULATIONS, round_zero_inputs
+
+
+def runs():
+    for n in (40, 257, 700):
+        p, x0, v0, ctr0 = round_zero_inputs(n)
+        run = dict(seed=9, ctr0=ctr0, chunk=7)
+        for horizon in (param.values[0] for param in ROUND_ZERO_POPULATIONS):
+            ens = kinetic_ensemble(p, x0, v0, horizon, **run)
+            yield ens.x, ens.v, ens.collisions, ens.first_overlap, ens.last_overlap
+            ens = kd_ensemble(p, x0, v0, horizon / 4, 4, **run)
+            yield ens.x, ens.v, ens.collisions
+            yield (conditioned_increment_ensemble(p, horizon, v0, n=n, **run),)
+            yield (random_walk_ensemble(p, x0, horizon / 4, 4, **run),)
+    p, x0, v0, ctr0 = round_zero_inputs()
+    ens = kd_ensemble(p, x0, v0, 1e-6, 2_000_000, seed=9, ctr0=ctr0, chunk=7)
+    yield ens.x, ens.v, ens.collisions
+
+
+want = [a.tobytes() for arrays in runs() for a in arrays]
+core._draws = kd._draws = core._load_draws(sys.argv[1], tuple(sys.argv[2:]))
+assert [a.tobytes() for arrays in runs() for a in arrays] == want
+"""
+
+
+def test_sanitized_build_runs_the_engine(tmp_path):
+    # an -O1 UndefinedBehaviorSanitizer build that stops at its first report
+    # (an overflowing int64 step count or float cast, an out-of-range shift)
+    # runs every driver through the engine's round-0 cases and a 2,000,000-
+    # step KD grid with the cached build's bits; a failed build fails
+    src = tmp_path / "_draws.c"
+    shutil.copy(Path(core.__file__).with_name("_draws.c"), src)
+    flags = ("-O1", "-ffp-contract=off", "-fno-math-errno",
+             "-fsanitize=undefined,float-cast-overflow", "-fno-sanitize-recover=all")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    res = subprocess.run([sys.executable, "-c", ENGINE_RUNS, str(src), *flags], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
 
 
 def test_broadcast_and_strided_inputs():

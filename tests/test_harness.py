@@ -325,7 +325,7 @@ class TestEnsembleMemory:
         tracemalloc.start()
         try:
             if name == "kinetic-x-only":
-                kinetic_ensemble(p, x0, v0, 1.0, 3, out=(np.empty(n), None, None, None, None))
+                kinetic_ensemble(p, x0, v0, 1.0, 3, out=(np.empty(n),))
             else:
                 conditioned_increment_ensemble(p, 1.0, 0.5, n=n, seed=3)
             peak = tracemalloc.get_traced_memory()[1]

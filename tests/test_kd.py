@@ -256,8 +256,9 @@ class TestRandomWalk:
         x = random_walk_ensemble(P_UNIT, np.zeros(n), 1.0, 1, seed=12)
         moment_check(x, target_mean=0.0, target_var=2.0)
 
-    @pytest.mark.parametrize("n_steps", [0, -3, 2.5, math.inf, math.nan])
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5, math.inf, math.nan, 2**63, 2**64 + 1])
     def test_step_count_validated(self, n_steps):
+        # the C passes take an int64 count: 2**64 + 1 must not run as 1 step
         with pytest.raises(ValueError, match="n_steps must be a positive integer"):
             random_walk_ensemble(P_UNIT, np.zeros(4), 0.5, n_steps, seed=5)
         with pytest.raises(ValueError, match="n_steps must be a positive integer"):

@@ -6,7 +6,6 @@ against np.log and np.exp."""
 
 import ctypes
 import dataclasses
-import itertools
 import math
 import sys
 
@@ -366,7 +365,7 @@ def test_kernel_table_matches_numpy():
 def test_normals_match_the_uniforms_through_scipy():
     live = population(1000)
     u = np.empty(1000)
-    _draws.uniforms(addr(live["keys"]), 0, 0, addr(live["ctr"]), 1, 0.5, addr(u), u.size)
+    _draws.uniforms(addr(live["keys"]), 0, 0, addr(live["ctr"]), 0.5, addr(u), u.size)
     assert same_bits(normal_keyed(live["keys"], live["ctr"]), scipy_ndtri(u))
 
 
@@ -558,8 +557,9 @@ def test_inputs_are_not_written():
 @pytest.mark.parametrize("horizon,least,most", ROUND_ZERO_POPULATIONS)
 @pytest.mark.parametrize("threads", [1, 3])
 def test_partial_records_keep_the_bits(horizon, least, most, threads):
-    # out= with any records left out (None) writes the others bit for bit as
-    # the full records, and total_collisions needs no collisions record
+    # out= for x alone writes it bit for bit as the full records and leaves
+    # the others out (None), and total_collisions needs no collisions record;
+    # out= for every record writes each of them in place
     p, x0, v0, ctr0 = round_zero_inputs()
     run = dict(seed=9, ctr0=ctr0, chunk=16, threads=threads)
     for ensemble, args, width in ((kinetic_ensemble, (horizon,), 5),
@@ -568,12 +568,7 @@ def test_partial_records_keep_the_bits(horizon, least, most, threads):
         records = [getattr(full, f.name) for f in dataclasses.fields(full)][:width]
         assert least <= np.count_nonzero(full.collisions) <= most
         assert full.total_collisions == full.collisions.sum()
-        for kept in itertools.product((False, True), repeat=len(records) - 1):
-            out = [np.empty_like(records[0])] + [np.empty_like(r) if k else None
-                                                 for k, r in zip(kept, records[1:])]
-            # an out that ends early leaves the records past its end out
-            while len(out) > 1 and out[-1] is None:
-                out.pop()
+        for out in ([np.empty_like(records[0])], [np.empty_like(r) for r in records]):
             got = ensemble(p, x0, v0, *args, out=out, **run)
             assert got.total_collisions == full.total_collisions
             out += [None] * (len(records) - len(out))
@@ -604,21 +599,29 @@ def test_one_value_for_all_keeps_the_bits(horizon, least, most, threads):
 
 
 def test_round_zero_hashes_the_keys_of_its_streams():
-    # uniforms with no keys hashes particle i's key from stream lo + i, and
-    # stream_keys from lo + a slot, as stream_keys does from the ids, at the
-    # top of the stream range and the counter edges, whole or one for all
+    # stream draws, uniforms and normals with no keys, hash particle i's key
+    # from stream lo + i and read the one counter ctr[0]: the keyed draws at
+    # the top of the stream range and the counter edges, at one counter for
+    # all or, a particle at a time, at each its own; stream_keys hashes the
+    # ids it is given as they are, and lo + i with none
     n, seed = 256, 2**64 - 5
     lo = 2**64 - n
     keys = stream_keys(seed, np.arange(lo, 2**64, dtype=np.uint64))
     ctr = np.array(EDGE_COUNTERS * (n // len(EDGE_COUNTERS)), dtype=np.uint64)
-    for c in [ctr] + [np.broadcast_to(np.uint64(e), (n,)) for e in EDGE_COUNTERS]:
-        want, got, whole = np.empty(n), np.empty(n), np.ascontiguousarray(c)
-        _draws.uniforms(addr(keys), 0, 0, addr(whole), 1, 1.0, addr(want), n)
-        _draws.uniforms(None, seed, lo, addr(c), c.strides[0] // 8, 1.0, addr(got), n)
-        assert same_bits(got, want)
+    want, got = np.empty(n), np.empty(n)
+    _draws.uniforms(addr(keys), 0, 0, addr(ctr), 1.0, addr(want), n)
+    for i in range(n):
+        _draws.uniforms(None, seed, lo + i, addr(ctr[i:]), 1.0, addr(got[i:]), 1)
+    assert same_bits(got, want)
+    for e in EDGE_COUNTERS:
+        c = np.full(n, e, dtype=np.uint64)
+        for fn, offset in ((_draws.uniforms, (1.0,)), (_draws.normals, ())):
+            fn(addr(keys), 0, 0, addr(c), *offset, addr(want), n)
+            fn(None, seed, lo, addr(c[:1]), *offset, addr(got), n)
+            assert same_bits(got, want)
     slots = np.array([0, 5, n - 1, 7, n - 2])
-    got = np.empty(slots.size, dtype=np.uint64)
-    _draws.stream_keys(seed, lo, addr(slots), addr(got), slots.size)
+    ids, got = np.uint64(lo) + slots.astype(np.uint64), np.empty(slots.size, dtype=np.uint64)
+    _draws.stream_keys(seed, lo, addr(ids), addr(got), slots.size)
     assert np.array_equal(got, keys[slots])
     _draws.stream_keys(seed, lo, None, addr(got), slots.size)
     assert np.array_equal(got, keys[:slots.size])
