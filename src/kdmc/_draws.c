@@ -473,16 +473,16 @@ void numpy_loop(const struct loop *f, double *a, ptrdiff_t n)
 
 #define EB 256 /* particles per engine block: its columns stay in cache through all its rounds */
 
-/* The lockstep engine of core.lockstep: runs particles i < n, from streams
- * lo + i under seed, to the end in blocks of EB, each through all its rounds
- * on columns of its own, and returns the number of collisions. The inputs are
- * read at element strides s.., 1 or 0 for one value for all; KD particles
- * start with n_steps steps. x is always recorded, v with the collisions and the
- * first with the last overlap or neither (NULL). loops: numpy's log, then exp. */
+/* The lockstep engine of core.lockstep: runs particles i < n, from streams lo + i under seed, to
+ * the end in blocks of EB, each through all its rounds on columns of its own, and returns the
+ * number of collisions. Every particle starts with time left rem, a KD one with n_steps steps; the
+ * columns ctr, x and v are read at element strides s.., 1 or 0 for one value for all. x is always
+ * recorded, v with the collisions and the first with the last overlap or neither (NULL). loops:
+ * numpy's log, then exp. */
 int64_t lockstep(int kind, uint64_t seed, uint64_t lo, const struct loop *loops,
-                 const struct kd *kd, int64_t n_steps, const uint64_t *ctr, ptrdiff_t sc,
-                 const double *rem, ptrdiff_t sr, const double *x, ptrdiff_t sx, const double *v,
-                 ptrdiff_t sv, double *out_x, double *out_v, int64_t *out_coll, double *out_first,
+                 const struct kd *kd, int64_t n_steps, double rem, const uint64_t *ctr,
+                 ptrdiff_t sc, const double *x, ptrdiff_t sx, const double *v, ptrdiff_t sv,
+                 double *out_x, double *out_v, int64_t *out_coll, double *out_first,
                  double *out_last, double scale, double eps, double sd, double mean, ptrdiff_t n)
 {
     /* the particles still running, with their slots in the chunk, by column */
@@ -495,12 +495,12 @@ int64_t lockstep(int kind, uint64_t seed, uint64_t lo, const struct loop *loops,
         int m = n - b < EB ? (int)(n - b) : EB;
         stream_keys(seed, lo + (uint64_t)b, NULL, keys, m);
         take(c, ctr + sc * b, sc, m);
-        take(rs, rem + sr * b, sr, m);
         take(xs, x + sx * b, sx, m);
         take(vs, v + sv * b, sv, m);
         for (int k = 0; k < m; k++) { /* records without collisions, kept by round-0 finishers */
             slot[k] = b + k;
             steps[k] = n_steps;
+            rs[k] = rem;
             out_x[b + k] = xs[k] + (vs[k] / eps) * rs[k];
         }
         if (out_v) {

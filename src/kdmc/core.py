@@ -45,7 +45,6 @@ __all__ = [
     "RECORDS",
     "Ensemble",
     "ensemble_io",
-    "finite",
     "step_count",
     "whole_steps",
     "lockstep",
@@ -110,7 +109,7 @@ def _load_draws(src=os.path.join(os.path.dirname(__file__), "_draws.c"), flags=D
         ("collide", (i, p, p, p, p, p, p, p, p, p, f, f, f, n), None),
         ("kd_steps", (p, p, p, p, p, n), None), ("kernels", (p, p, p, n), None),
         ("numpy_loop", (p, p, n), None),
-        ("lockstep", (i, u, u, p, p, q, *(p, n) * 4, *(p,) * 5, f, f, f, f, n), q),
+        ("lockstep", (i, u, u, p, p, q, f, *(p, n) * 3, *(p,) * 5, f, f, f, f, n), q),
     ):
         getattr(draws, fn).argtypes, getattr(draws, fn).restype = args, res
     return draws
@@ -314,16 +313,16 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, step, names=None, **columns):
 
     Particle i draws from stream stream_lo + i in [0, 2**64) from counter
     ctr0: None (0), one for all or one per particle, integers in [0, 2**64).
-    `columns`, under `lockstep`'s names, are finite floats, one for all or
-    one per particle; an error names a column by the caller's argument, x0
-    for x, v0 for v, or as `names` maps it. out is None, for new arrays of
-    `dtypes`, or the caller's arrays in that order, for the first output
-    alone or for all of them: each writable, contiguous and of n. No two
-    outputs, and no output and input, may share memory: the engine reads
-    its inputs in place while it writes the outputs. Anything else raises
-    ValueError. run(lo, hi) returns step(stream_lo + lo, outputs,
-    ctr=counters, **columns) on the chunk [lo, hi); one value for all is a
-    stride-0 np.broadcast_to view.
+    `columns`, x and v (`step` carries the time left), are finite floats,
+    one for all or one per particle; an error names a column by the
+    caller's argument, x0 for x, v0 for v, or as `names` maps it. out is
+    None, for new arrays of `dtypes`, or the caller's arrays in that order,
+    for the first output alone or for all of them: each writable,
+    contiguous and of n. No two outputs, and no output and input, may share
+    memory: the engine reads its inputs in place while it writes the
+    outputs. Anything else raises ValueError. run(lo, hi) returns
+    step(stream_lo + lo, outputs, ctr=counters, **columns) on the chunk
+    [lo, hi); one value for all is a stride-0 np.broadcast_to view.
     """
     lo = _uint64("stream_lo", stream_lo)
     if lo.ndim or int(lo) + n > 2**64:
@@ -331,10 +330,12 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, step, names=None, **columns):
                          f"got stream_lo = {stream_lo!r}")
     names = {"ctr": "ctr0", "x": "x0", "v": "v0", **(names or {})}
     columns = {"ctr": _uint64("ctr0", 0 if ctr0 is None else ctr0),
-               **{name: finite(names.get(name, name), values) for name, values in columns.items()}}
+               **{name: np.require(values, np.float64, "C") for name, values in columns.items()}}
     for name, col in columns.items():
+        if not np.isfinite(col).all():
+            raise ValueError(f"{names[name]} must be finite")
         if col.shape not in ((), (n,)):
-            raise ValueError(f"{names.get(name, name)} must be one value or one per particle "
+            raise ValueError(f"{names[name]} must be one value or one per particle "
                              f"(n = {n}), got shape {col.shape}")
     out = tuple(np.empty(n, dtype=d) for d in dtypes) if out is None else tuple(out)
     if len(out) not in (1, len(dtypes)) or not all(
@@ -356,15 +357,6 @@ def ensemble_io(n, stream_lo, ctr0, out, dtypes, step, names=None, **columns):
     return out, run
 
 
-def finite(name, values):
-    """values as a C-contiguous float64 array; raises ValueError if any is NaN
-    or infinite."""
-    values = np.require(values, np.float64, "C")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    return values
-
-
 def step_count(span, dt):
     """The number n of steps dt in span; raises ValueError unless span is
     a positive whole multiple of dt, to a relative 1e-9."""
@@ -384,6 +376,13 @@ def whole_steps(dt, n_steps):
     if not 1 <= n_steps < 2**63 or int(n_steps) != n_steps:
         raise ValueError(f"n_steps must be a positive integer below 2**63, got {n_steps}")
     return int(n_steps)
+
+
+def _time_left(name, value):
+    # the one time left of every particle, as a float, checked finite and >= 0
+    if np.ndim(value) or not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite, >= 0 and one value for all, got {value!r}")
+    return float(value)
 
 
 def _addr(a):
@@ -429,17 +428,17 @@ def _numpy_loops():
 _LOOPS = _numpy_loops()
 
 
-def lockstep(kind, params, seed, stream_lo, out, kd=None, n_steps=0, *, ctr, rem, x, v):
+def lockstep(kind, params, seed, rem, stream_lo, out, kd=None, n_steps=0, *, ctr, x, v):
     """Run a particle population to the end in lockstep rounds of flights
     and collisions, and write each particle's records; returns the wall
     seconds of the rounds and the number of collisions.
 
-    Particle i draws from stream stream_lo + i under seed, an int. The
-    columns ctr (next counters), rem (time left), x and v are 8-byte values
-    over the particles, as `ensemble_io` hands them to a step. They are read
-    at their element stride, 0 for one value for all, and never written, so
-    they may be the caller's inputs. For KD, kd holds its `struct kd`
-    constants, and every particle starts with n_steps steps not yet started.
+    Particle i draws from stream stream_lo + i under seed, an int. Every
+    particle starts with time left rem, a float, and for KD, whose `struct
+    kd` constants kd holds, with n_steps steps not yet started. The columns
+    ctr (next counters), x and v are 8-byte values over the particles, as
+    `ensemble_io` hands them to a step, read at their element stride, 0 for
+    one value for all, and never written: they may be the caller's inputs.
     out holds the records in `RECORDS` order: x alone, x, v and collisions,
     or all five. In round r every particle still running draws its flight
     dtau = (eps^2 / sigma) Exp(1) at its next counter. Time left is the only
@@ -460,7 +459,7 @@ def lockstep(kind, params, seed, stream_lo, out, kd=None, n_steps=0, *, ctr, rem
     t_loop, n = time.perf_counter(), out[0].size
     records = [_addr(a) for a in out] + [None] * (len(RECORDS) - len(out))
     collisions = _draws.lockstep(
-        kind, seed, stream_lo, _LOOPS, kd, n_steps, *_col(ctr), *_col(rem), *_col(x), *_col(v),
+        kind, seed, stream_lo, _LOOPS, kd, n_steps, rem, *_col(ctr), *_col(x), *_col(v),
         *records, params.eps * params.eps / params.sigma, params.eps,
         math.sqrt(params.temperature), params.eps * params.u, n)
     return time.perf_counter() - t_loop, collisions

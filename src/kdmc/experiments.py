@@ -76,23 +76,24 @@ def _rejection_kinetic_paths(params, v0, dt, n, seed, stream_lo, threads=1):
     holds the n-th accepted path, so the accepted set is a pure function of
     the seed. Rejection leaves the conditioned law unbiased. The last slice
     is clipped at the window's end, and a point that needs more fails rather
-    than reuse the next point's. Each slice's inputs are windows on one
-    buffer, which the engine reads in place: it copies only the candidates
-    that collide, and every slice records into one buffer allocated per
-    call, so no slice faults in output pages of its own. The accepted paths
-    go straight into n-sized outputs, so memory is O(threads * CHUNK + n)
-    whatever the acceptance rate, and each grid point's arrays die before
-    the next point starts. Returns (stream ids, displacement, first overlap,
-    last overlap, final velocity) of the accepted paths.
+    than reuse the next point's. The engine reads v0, one value for all,
+    and each slice's positions, windows on one buffer, in place: it copies
+    only the candidates that collide, and every slice records into one
+    buffer allocated per call, so no slice faults in output pages of its
+    own. The accepted paths go straight into n-sized outputs, so memory is
+    O(threads * CHUNK + n) whatever the acceptance rate, and each grid
+    point's arrays die before the next point starts. Returns (stream ids,
+    displacement, first overlap, last overlap, final velocity) of the
+    accepted paths.
     """
     width = threads * CHUNK
-    x0, v0s = np.zeros(width), np.full(width, v0)
+    x0 = np.zeros(width)
     records = tuple(np.empty(width, dtype=d) for d in RECORDS)
     out = (np.empty(n, dtype=np.uint64), np.empty(n), np.empty(n), np.empty(n), np.empty(n))
     got = 0
     for lo in range(0, _POINT_STRIDE, width):
         m = min(width, _POINT_STRIDE - lo)
-        ens = kinetic_ensemble(params, x0[:m], v0s[:m], dt, seed, stream_lo=stream_lo + lo,
+        ens = kinetic_ensemble(params, x0[:m], v0, dt, seed, stream_lo=stream_lo + lo,
                                threads=threads, out=[a[:m] for a in records])
         keep = np.flatnonzero(ens.collisions != 0)[:n - got]
         new = slice(got, got + keep.size)

@@ -37,6 +37,7 @@ from .core import (
     _col,
     _draws,
     _seed,
+    _time_left,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kd.exponential_keyed
     lockstep,
@@ -155,11 +156,11 @@ def kd_ensemble(
     the records x, v and collisions (int64); the overlaps are None.
     """
     n_steps = whole_steps(dt, n_steps)
-    n = len(x0)
+    rem, n = _time_left("n_steps * dt", n_steps * dt), len(x0)
     kd = (ctypes.c_double * 6)(*_substep_constants(params, dt))
     out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS[:3],
-                           partial(lockstep, KD, params, _seed(seed), kd=kd, n_steps=n_steps),
-                           {"rem": "n_steps * dt"}, x=x0, v=v0, rem=n_steps * dt)
+                           partial(lockstep, KD, params, _seed(seed), rem, kd=kd, n_steps=n_steps),
+                           x=x0, v=v0)
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))
 

@@ -19,6 +19,7 @@ from .core import (
     Ensemble,
     ParticleState,
     _seed,
+    _time_left,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.kinetic.exponential_keyed
     lockstep,
@@ -99,11 +100,8 @@ def kinetic_ensemble(
     first_overlap and last_overlap, in that order, or (x,) alone, whose
     other records are then None; written in place and sharing no memory.
     """
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    n = len(x0)
+    rem, n = _time_left("duration", duration), len(x0)
     out, run = ensemble_io(n, stream_lo, ctr0, out, RECORDS,
-                           partial(lockstep, KINETIC, params, _seed(seed)),
-                           x=x0, v=v0, rem=duration)
+                           partial(lockstep, KINETIC, params, _seed(seed), rem), x=x0, v=v0)
     loop_t, collisions = zip(*map_chunked(run, n, threads=threads, chunk=chunk))
     return Ensemble(*out, loop_seconds=sum(loop_t), total_collisions=sum(collisions))

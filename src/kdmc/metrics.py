@@ -18,9 +18,9 @@ class HistogramSpec:
     """Uniform binning; edge bins absorb out-of-range samples so counts
     always total the ensemble size."""
 
-    lo: float = -15.0
-    hi: float = 15.0
-    bins: int = 100
+    lo: float
+    hi: float
+    bins: int
 
     def __post_init__(self):
         if not (self.hi > self.lo and self.bins >= 1):

@@ -6,9 +6,9 @@ fresh Maxwellian draws; only the segment that reaches the end of the step
 flies at the pinned value (when no collision occurs, the whole step does).
 Because the final velocity is independent of all other randomness in the
 jump process, substituting its value samples the conditioned law exactly.
-The paths run through `core.lockstep`, which writes the increments and
-runs the oracle collision: it moves a path by its flight at a fresh
-Maxwellian velocity.
+All paths take one step of the same length through `core.lockstep`, which
+writes the increments and runs the oracle collision: it moves a path by
+its flight at a fresh Maxwellian velocity.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     CHUNK,
     ORACLE,
     _seed,
+    _time_left,
     ensemble_io,
     exponential_keyed,  # noqa: F401 - the benchmark tracer wraps kdmc.oracles.exponential_keyed
     lockstep,
@@ -47,31 +48,26 @@ class OracleMoments:
 
 def conditioned_increment_ensemble(
     params,
-    durations,
+    duration,
     v_final,
-    n=None,
-    seed=0,
+    n,
+    seed,
     stream_lo=0,
     ctr0=None,
     threads=1,
     chunk=CHUNK,
 ):
-    """Sample n conditioned positional increments; returns displacements.
+    """Sample n conditioned positional increments over one step of length
+    `duration`, finite and >= 0; returns displacements.
 
-    `durations` and `v_final` may be scalars or arrays of n per-path values
-    (per-path step lengths are needed when conditioning on the remaining
-    time); n defaults to the length of per-path durations.
+    `v_final` is one value for all paths or one per path. Path i draws from
+    stream stream_lo + i starting at counter ctr0, as in kinetic_ensemble.
     """
-    durations = np.asarray(durations, dtype=np.float64)
-    if durations.ndim == 0 and n is None:
-        raise ValueError("scalar duration requires an explicit path count n")
-    if not ((durations >= 0) & (durations < math.inf)).all():
-        raise ValueError("durations must be finite and nonnegative")
-    n = len(durations) if n is None else n
+    rem = _time_left("duration", duration)
     # a path's v is its pinned final velocity, which collisions leave alone
     (dx,), run = ensemble_io(n, stream_lo, ctr0, None, (np.float64,),
-                             partial(lockstep, ORACLE, params, _seed(seed)),
-                             {"rem": "durations", "v": "v_final"}, rem=durations, v=v_final, x=0.0)
+                             partial(lockstep, ORACLE, params, _seed(seed), rem),
+                             {"v": "v_final"}, v=v_final, x=0.0)
     map_chunked(run, n, threads=threads, chunk=chunk)
     return dx
 

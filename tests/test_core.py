@@ -276,7 +276,7 @@ class TestLockstep:
         for k in range(n):
             one = slice(k, k + 1)
             records = (out_x[one], np.empty(1), out_coll[one], np.empty(1), out_last[one])
-            collisions += lockstep(KD, p, 3, k, records, kd, k, ctr=ctr0[one], rem=rem0[one],
+            collisions += lockstep(KD, p, 3, rem0[k], k, records, kd, k, ctr=ctr0[one],
                                    x=x0[one], v=v0[one])[1]
         # the particles that collide in rounds 1, 2, ...: those with that many collisions or more
         assert [np.count_nonzero(out_coll >= r) for r in range(1, 6)] == [4, 3, 2, 2, 1]
@@ -444,12 +444,6 @@ class TestEnsembleInputs:
         # a seed is checked as a counter is: 1.5 does not run as seed 1
         with pytest.raises(ValueError, match="^seed must"):
             _ensemble(name, seed=seed)
-
-    def test_rejects_a_path_count_that_disagrees_with_the_durations(self):
-        p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match=r"^durations must be one value or one per particle "
-                                             r"\(n = 5\), got shape \(3,\)"):
-            oracles_module.conditioned_increment_ensemble(p, np.ones(3), 0.5, n=5)
 
     @staticmethod
     def _chunk(n, stream_lo, ctr0):

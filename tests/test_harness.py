@@ -32,6 +32,7 @@ from kdmc.moments import conditioned_mean_var
 from kdmc.oracles import conditioned_increment_ensemble, sample_moments
 from kdmc import cli
 from conftest import ROUND_ZERO_POPULATIONS, round_zero_inputs, same_bits
+from test_golden import MULTISTEP
 
 
 class TestConfig:
@@ -195,35 +196,37 @@ class TestOracle:
         assert abs(res.mean - mean) <= 4 * res.se_mean
         assert abs(res.variance - var) <= 4 * res.se_variance
 
-    @pytest.mark.parametrize("durations", [math.nan, math.inf, -0.5, [1.0, math.nan, 0.5]])
+    @pytest.mark.parametrize("durations", [math.nan, math.inf, -0.5, [1.0, math.nan, 0.5],
+                                           [1.0, 1.0, 1.0], np.full(3, 0.5), np.ones(1)])
     def test_rejects_bad_durations(self, monkeypatch, durations):
-        def no_lockstep(*args):
-            raise AssertionError("the oracle started before its durations were checked")
+        # one finite value >= 0 for all paths, checked before any chunk runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle started before its duration was checked")
 
-        monkeypatch.setattr(oracles_module, "lockstep", no_lockstep)
+        monkeypatch.setattr(oracles_module, "lockstep", refuse)
+        monkeypatch.setattr(oracles_module, "map_chunked", refuse)
         p = BackgroundParams(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="durations must be finite"):
+        with pytest.raises(ValueError, match="^duration must be finite, >= 0 and one value"):
             conditioned_increment_ensemble(p, durations, 0.5, n=3, seed=1)
 
     def test_chunking_and_threads_bit_identical(self):
         p = BackgroundParams(1.0, 0.3, 1.0, 0.5)
         n = 3000
         rng = np.random.default_rng(5)
-        durations = rng.uniform(0.0, 2.0, n)
-        durations[:20] = 0.0
         v_final = rng.normal(size=n)
         ctr0 = rng.integers(0, 2**62, n, dtype=np.uint64)
-        kwargs = dict(seed=4, stream_lo=11, ctr0=ctr0)
-        ref = conditioned_increment_ensemble(p, durations, v_final, **kwargs)
+        kwargs = dict(n=n, seed=4, stream_lo=11, ctr0=ctr0)
         # the compiled draws run outside the GIL, so chunks draw concurrently;
         # more threads than cores and a short switch interval interleave them
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for threads in (1, 2, 4):
-                got = conditioned_increment_ensemble(
-                    p, durations, v_final, threads=threads, chunk=7, **kwargs)
-                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            for duration in (0.0, 0.7, 2.0):
+                ref = conditioned_increment_ensemble(p, duration, v_final, **kwargs)
+                for threads in (1, 2, 4):
+                    got = conditioned_increment_ensemble(
+                        p, duration, v_final, threads=threads, chunk=7, **kwargs)
+                    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         finally:
             sys.setswitchinterval(interval)
 
@@ -271,14 +274,20 @@ class TestDeterminism:
         [
             ("histogram", dict(particles=4000)),
             ("single-step-low", dict(particles=4000, dt_grid=[0.1, 0.5, 1.0])),
-            ("single-step-high", dict(particles=10_000, collisionality_grid=[4.0, 25.0],
+            # 70,000 particles make two chunks, 65,536 + 4,464, so threads=3
+            # runs them on two threads: here the oracle's increments and the
+            # kinetic and KD collision totals, below the moments' ensembles
+            # and 100 KD and random-walk steps
+            ("single-step-high", dict(particles=70_000, collisionality_grid=[4.0, 25.0],
                                       bootstrap_reps=4)),
-            ("speedup", dict(particles=4000, collisionality_grid=[1.0, 10.0],
+            ("speedup", dict(particles=70_000, collisionality_grid=[1.0, 10.0],
                              measure_time=False)),
             ("constants-check", dict()),
             # about 115k candidates at dt = 0.01: more than one 2**16 slice
             # of the rejection sampler at 1 thread, one 3 << 16 slice at 3
             ("single-step-low", dict(particles=1000, dt_grid=[0.01, 0.1])),
+            ("moments-check", dict(particles=70_000)),
+            ("histogram", dict(particles=70_000, **MULTISTEP[1])),
         ],
     )
     def test_replay_and_threads_byte_identical(self, tmp_path, experiment, extra):

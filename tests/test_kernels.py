@@ -191,11 +191,11 @@ def numpy_kd(params, x0, v0, dt, n_steps, seed, ctr0):
     return out_x, out_v, out_coll
 
 
-def numpy_oracle(params, durations, v_final, seed, ctr0):
-    n = durations.size
+def numpy_oracle(params, duration, v_final, seed, ctr0):
+    n = ctr0.size
     live = {"keys": stream_keys(seed, np.arange(n, dtype=np.uint64)), "ctr": ctr0.copy(),
-            "rem": durations.copy(), "x": np.zeros(n), "vf": v_final}
-    out = np.zeros(n) + (v_final / params.eps) * durations
+            "rem": np.full(n, duration), "x": np.zeros(n), "vf": v_final}
+    out = np.zeros(n) + (v_final / params.eps) * duration
 
     def finish(fin, slots, rnd, tail):
         out[slots] = live["x"][fin] + (live["vf"][fin] / params.eps) * tail
@@ -514,35 +514,32 @@ HORIZONS = [pytest.param(p.values[0], id=p.id) for p in ROUND_ZERO_POPULATIONS]
 @pytest.mark.parametrize("n", [40, 257])
 def test_oracle_matches_numpy_engine(horizon, n, interleaved):
     p, _, v_final, ctr0 = round_zero_inputs(n)
-    durations = np.full(n, horizon)
-    durations[::5] *= 0.5  # per-path durations
-    want = numpy_oracle(p, durations, v_final, 9, ctr0)
-    for threads in interleaved:
-        for chunk in (7, 1 << 16):
-            got = conditioned_increment_ensemble(p, durations, v_final, seed=9, ctr0=ctr0,
-                                                 threads=threads, chunk=chunk)
-            assert same_bits(got, want)
+    for duration in (horizon, 0.5 * horizon):
+        want = numpy_oracle(p, duration, v_final, 9, ctr0)
+        for threads in interleaved:
+            for chunk in (7, 1 << 16):
+                got = conditioned_increment_ensemble(p, duration, v_final, n, 9, ctr0=ctr0,
+                                                     threads=threads, chunk=chunk)
+                assert same_bits(got, want)
 
 
 def test_inputs_are_not_written():
-    # round 0 reads x0, v0, ctr0, durations and v_final where they are, so
+    # round 0 reads x0, v0, ctr0 and v_final where they are, so
     # read-only inputs work and come back bit for bit, whether none, some or
     # all particles finish in round 0; strided views run as their
     # contiguous copies
     for population in ROUND_ZERO_POPULATIONS:
         horizon, least, most = population.values
         p, x0, v0, ctr0 = round_zero_inputs()
-        durations = np.full(x0.size, horizon)
-        durations[::5] *= 0.5
-        inputs = (x0, v0, ctr0, durations)
+        inputs = (x0, v0, ctr0)
         saved = [a.copy() for a in inputs]
         for a in inputs:
             a.flags.writeable = False
 
-        def run(x0, v0, ctr0, durations):
+        def run(x0, v0, ctr0):
             kin = kinetic_ensemble(p, x0, v0, horizon, 9, ctr0=ctr0, chunk=16)
             kd = kd_ensemble(p, x0, v0, horizon / 4, 4, 9, ctr0=ctr0, chunk=16)
-            dx = conditioned_increment_ensemble(p, durations, v0, seed=9, ctr0=ctr0, chunk=16)
+            dx = conditioned_increment_ensemble(p, horizon, v0, v0.size, 9, ctr0=ctr0, chunk=16)
             return kin.collisions, (kin.x, kin.v, kd.x, kd.v, dx)
 
         collisions, got = run(*inputs)
@@ -580,7 +577,7 @@ def test_partial_records_keep_the_bits(horizon, least, most, threads):
 @pytest.mark.parametrize("horizon,least,most", ROUND_ZERO_POPULATIONS)
 @pytest.mark.parametrize("threads", [1, 3])
 def test_one_value_for_all_keeps_the_bits(horizon, least, most, threads):
-    # a scalar ctr0, durations or v_final, read as a stride-0 view, gives the
+    # a scalar ctr0 or v_final, read as a stride-0 view, gives the
     # bits of a per-particle array filled with that value
     p, x0, v0, ctr0 = round_zero_inputs()
     n, c, vf = x0.size, ctr0[5], v0[5]
@@ -594,7 +591,7 @@ def test_one_value_for_all_keeps_the_bits(horizon, least, most, threads):
         assert same_bits(random_walk_ensemble(p, x0, horizon / 4, 4, ctr0=scalar, **run),
                          random_walk_ensemble(p, x0, horizon / 4, 4, ctr0=filled, **run))
     got = conditioned_increment_ensemble(p, horizon, vf, n=n, ctr0=c, **run)
-    assert same_bits(got, conditioned_increment_ensemble(p, np.full(n, horizon), np.full(n, vf),
+    assert same_bits(got, conditioned_increment_ensemble(p, horizon, np.full(n, vf), n=n,
                                                          ctr0=np.full(n, c), **run))
 
 

@@ -18,7 +18,7 @@ from kdmc.kinetic import kinetic_ensemble
 from conftest import ROUND_ZERO_POPULATIONS, StubRng, moment_check, round_zero_inputs, same_bits
 
 
-@pytest.mark.parametrize("duration", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -0.5, np.ones(3)])
 def test_ensemble_rejects_bad_duration(monkeypatch, duration):
     def no_lockstep(*args, **kwargs):
         raise AssertionError("the ensemble started before its duration was checked")

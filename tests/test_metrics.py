@@ -80,10 +80,6 @@ class TestSummarize:
         assert counts[0] >= 2 and counts[-1] >= 2
         assert len(spec.edges) == 11
 
-    def test_default_spec_matches_report_range(self):
-        spec = HistogramSpec()
-        assert spec.lo == -15.0 and spec.hi == 15.0 and spec.bins == 100
-
 
 class TestFitOrder:
     def test_linear(self):
